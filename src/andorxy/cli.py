@@ -2,8 +2,9 @@
 
 Exit codes are the machine-readable channel: 0 = success or decision YES,
 1 = decision NO, 2 = invalid input, 3 = an internal limit was hit (weight
-overflow or solver budget).  Values go to standard output in decimal;
-diagnostics and progress go to standard error.
+overflow, solver budget, or a search deeper than the recursion limit).
+Values go to standard output in decimal; diagnostics and progress go to
+standard error.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .graphs import (
     XYGraph,
     is_in_family_F,
     is_xy_tree,
-    validate_andor,
-    validate_xy,
     verify_solution_andor,
     verify_solution_xy,
 )
@@ -71,15 +70,11 @@ def _decide_line(yes: bool) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # parse_graph validates, and reports any violation as GraphFormatError
     try:
         g = parse_graph(_read(args.file))
     except GraphFormatError as exc:
         print(str(exc))
-        return INVALID
-    rep = validate_xy(g) if isinstance(g, XYGraph) else validate_andor(g)
-    if not rep.ok:
-        for line in rep.violations:
-            print(line)
         return INVALID
     kind = "xy" if isinstance(g, XYGraph) else "andor"
     print(f"valid {kind} graph: {len(g.labels)} vertices, {len(g.edges)} edges")
@@ -326,6 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         return LIMIT
     except OverflowError as exc:
         print(str(exc), file=sys.stderr)
+        return LIMIT
+    except RecursionError:
+        print("search too deep: the interpreter's recursion limit was reached",
+              file=sys.stderr)
         return LIMIT
     except OSError as exc:
         print(str(exc), file=sys.stderr)

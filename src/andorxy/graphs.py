@@ -13,8 +13,10 @@ solution must be reachable from the source inside the solution itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 VertexId = str
@@ -26,6 +28,10 @@ OR = "or"
 # weights are machine integers; sums beyond 2**63-1 are reported, not wrapped
 MAX_WEIGHT = 2**31 - 1
 MAX_SUM = 2**63 - 1
+
+# instance attribute under which the tree solvers cache a graph's integer
+# index (``treecore.TreeCore``), the way ``out_adj`` caches adjacency
+TREE_CORE = "tree_core"
 
 
 class InvalidGraphError(ValueError):
@@ -386,19 +392,22 @@ def verify_solution_andor(g: AndOrGraph, h: SolutionSubgraph) -> VerifyResult:
     Returns the weight and a list of violated rules.  Raises ValueError if
     the solution references an edge the host graph does not have.
     """
+    weight = _fast_accept(g, h, xy=False)
+    if weight is not None:
+        return VerifyResult(True, weight)
     _check_edges_known(g.edges, h)
     vs = h.vertices(g.source)
-    chosen_out: dict[VertexId, int] = {}
-    for (t, _h2) in h.edges:
-        chosen_out[t] = chosen_out.get(t, 0) + 1
+    chosen_out = Counter(map(itemgetter(0), h.edges))
+    labels = g.labels
+    outdeg = Counter(map(itemgetter(0), g.edges))
 
     violations: list[str] = []
     for v in sorted(vs):
-        d = len(g.out_adj.get(v, ()))
+        d = outdeg[v] if v in labels else 0  # an undeclared tail has no obligation
         if d == 0:
             continue  # sinks carry no obligation
-        got = chosen_out.get(v, 0)
-        if g.labels[v] == AND:
+        got = chosen_out[v]
+        if labels[v] == AND:
             if got != d:
                 violations.append(f"and vertex {v} must take all {d} out-edges, has {got}")
         else:
@@ -411,21 +420,38 @@ def verify_solution_andor(g: AndOrGraph, h: SolutionSubgraph) -> VerifyResult:
 
 def verify_solution_xy(g: XYGraph, h: SolutionSubgraph) -> VerifyResult:
     """Check feasibility of an edge set against an x-y graph."""
+    weight = _fast_accept(g, h, xy=True)
+    if weight is not None:
+        return VerifyResult(True, weight)
     _check_edges_known(g.edges, h)
     vs = h.vertices(g.source)
-    chosen_out: dict[VertexId, int] = {}
-    for (t, _h2) in h.edges:
-        chosen_out[t] = chosen_out.get(t, 0) + 1
+    chosen_out = Counter(map(itemgetter(0), h.edges))
 
     violations: list[str] = []
     for v in sorted(vs):
         x = g.labels[v][0]
-        got = chosen_out.get(v, 0)
+        got = chosen_out[v]
         if got != x:
             violations.append(f"vertex {v} must take exactly {x} out-edges, has {got}")
     violations.extend(_unreached(g.source, vs, h))
     weight = sum(g.edges[e] for e in h.edges)
     return VerifyResult(not violations, weight, tuple(violations))
+
+
+def cached_tree_core(g: AndOrGraph | XYGraph, xy: bool):
+    """The index a tree solve cached on ``g`` (a ``treecore.TreeCore``), or None."""
+    core = vars(g).get(TREE_CORE)
+    return core if core is not None and core.xy == xy else None
+
+
+def _fast_accept(g: AndOrGraph | XYGraph, h: SolutionSubgraph, xy: bool) -> int | None:
+    """Weight of a feasible ``h`` by the index a tree solve cached on ``g``.
+
+    None when ``g`` carries no such index or the index does not accept
+    ``h``; the dict-based checks then give the full report.
+    """
+    core = cached_tree_core(g, xy)
+    return None if core is None else core.accepts(h.edges)
 
 
 def _check_edges_known(edges: dict[Edge, int], h: SolutionSubgraph) -> None:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from time import monotonic
 
-import numpy as np
-
 from .graphs import (
     MAX_SUM,
     MAX_WEIGHT,
@@ -172,150 +170,20 @@ def _witness(idx: _Indexed, pairs) -> SolutionSubgraph:
 _FAST_MIN_N = 4096
 
 
-def _ragged(starts, lens):
-    """Concatenated integer ranges [starts[i], starts[i]+lens[i]) as one array."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    block_out = np.cumsum(lens) - lens
-    block = np.repeat(np.arange(len(starts), dtype=np.int64), lens)
-    return np.arange(total, dtype=np.int64) - block_out[block] + starts[block]
-
-
 def _solve_tree_fast(g: AndOrGraph | XYGraph, xy: bool) -> SolveResult | None:
-    """Array-based tree solve: CSR layout, one vectorized pass per depth layer.
+    """Array-based tree solve on the graph's cached integer index.
 
-    Selection semantics match the scalar path exactly: per vertex, edges
-    ranked by (weight + child cost, head id), the x cheapest chosen.
     Returns None for degenerate shapes (depth comparable to n) where the
     per-layer overhead would lose to the scalar loop.
     """
-    labels, edges, source = g.labels, g.edges, g.source
-    n = len(labels)
-    m = len(edges)
-    names = sorted(labels)
-    pos = {v: i for i, v in enumerate(names)}
+    from .treecore import index_tree, solve_core  # loads numpy
 
-    def bail():
-        rep = (validate_xy if xy else validate_andor)(g)
-        if not rep.ok:
-            raise InvalidGraphError("; ".join(rep.violations))
-        # structurally valid, so the remaining complaint must be tree shape
-        indeg = {v: 0 for v in labels}
-        for (_t, h) in edges:
-            indeg[h] += 1
-        for v in names:
-            if v != source and indeg[v] != 1:
-                raise InvalidGraphError(
-                    f"not an out-tree: vertex {v} has in-degree {indeg[v]}"
-                )
-        raise InvalidGraphError("invalid graph")
-
-    if source not in pos or m != n - 1:
-        bail()
-    keys = list(edges)
-    tails, heads = zip(*keys) if m else ((), ())
-    try:
-        ti = np.fromiter(map(pos.__getitem__, tails), np.int64, count=m)
-        hi = np.fromiter(map(pos.__getitem__, heads), np.int64, count=m)
-        wv = np.asarray(list(edges.values()), dtype=np.int64)
-    except (KeyError, OverflowError):
-        bail()
-    if m:
-        wmin = 0 if g.zero_weights_allowed else 1
-        if int(wv.min()) < wmin or int(wv.max()) > MAX_WEIGHT:
-            bail()
-        if bool((ti == hi).any()):
-            bail()
-    _check_sum(sum(edges.values()))  # all int64 arithmetic below stays in range
-
-    eorder = np.lexsort((hi, ti))
-    ti = ti[eorder]
-    hi = hi[eorder]
-    wv = wv[eorder]
-    if m > 1 and bool(((ti[1:] == ti[:-1]) & (hi[1:] == hi[:-1])).any()):
-        bail()  # parallel edge
-    counts = np.bincount(ti, minlength=n)
-    offs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offs[1:])
-    src = pos[source]
-    indeg = np.bincount(hi, minlength=n)
-    if int(indeg[src]) != 0 or int((indeg == 1).sum()) != n - 1:
-        bail()
-
-    if xy:
-        try:
-            xs_np = np.fromiter((labels[v][0] for v in names), np.int64, count=n)
-            ys_np = np.fromiter((labels[v][1] for v in names), np.int64, count=n)
-        except (TypeError, IndexError, OverflowError):
-            bail()
-        if not np.array_equal(ys_np, counts) or bool((xs_np < 0).any()) or bool(
-            (xs_np > ys_np).any()
-        ):
-            bail()
-    else:
-        if not set(labels.values()) <= {AND, OR}:
-            bail()
-        is_and = np.fromiter((labels[v] == AND for v in names), bool, count=n)
-        xs_np = np.where(is_and, counts, np.minimum(counts, np.int64(1)))
-
-    # breadth-first order; in a tree it is also a topological order, and the
-    # generation boundaries give the depth layers for the vectorized passes
-    offs_l = offs.tolist()
-    heads_l = hi.tolist()
-    order = [src]
-    bounds = [0]
-    start = 0
-    while start < len(order):
-        end = len(order)
-        bounds.append(end)
-        for v in order[start:end]:
-            order.extend(heads_l[offs_l[v] : offs_l[v + 1]])
-        start = end
-    if len(order) != n:
-        bail()  # some vertex is unreachable
-    layer_count = len(bounds) - 1
-    if layer_count > max(64, n // 64):
+    core = index_tree(g, xy)
+    solved = solve_core(core)
+    if solved is None:
         return None
-
-    order_np = np.asarray(order, dtype=np.int64)
-    c = np.zeros(n, dtype=np.int64)
-    for li in range(layer_count - 1, -1, -1):
-        verts = order_np[bounds[li] : bounds[li + 1]]
-        verts = verts[xs_np[verts] > 0]
-        if verts.size == 0:
-            continue
-        vlens = counts[verts]
-        eidx = _ragged(offs[verts], vlens)
-        vals = wv[eidx] + c[hi[eidx]]
-        seg = np.repeat(np.arange(verts.size, dtype=np.int64), vlens)
-        so = np.lexsort((hi[eidx], vals, seg))
-        cums = np.cumsum(vals[so])
-        segstart = np.cumsum(vlens) - vlens
-        last = segstart + xs_np[verts] - 1
-        base = np.where(segstart > 0, cums[segstart - 1], 0)
-        c[verts] = cums[last] - base
-
-    chosen = []
-    frontier = np.asarray([src], dtype=np.int64)
-    while frontier.size:
-        verts = frontier[xs_np[frontier] > 0]
-        if verts.size == 0:
-            break
-        vlens = counts[verts]
-        eidx = _ragged(offs[verts], vlens)
-        vals = wv[eidx] + c[hi[eidx]]
-        seg = np.repeat(np.arange(verts.size, dtype=np.int64), vlens)
-        so = np.lexsort((hi[eidx], vals, seg))
-        segstart = np.cumsum(vlens) - vlens
-        selpos = _ragged(segstart, xs_np[verts])
-        eids = eidx[so[selpos]]
-        chosen.append(eids)
-        frontier = hi[eids]
-    all_e = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    gname = names.__getitem__
-    pairs = zip(map(gname, ti[all_e].tolist()), map(gname, hi[all_e].tolist()))
-    return SolveResult(int(c[src]), SolutionSubgraph(frozenset(pairs)), nodes=n)
+    optimum, pairs = solved
+    return SolveResult(optimum, SolutionSubgraph(pairs), nodes=core.n)
 
 
 def solve_andor_tree(g: AndOrGraph) -> SolveResult:

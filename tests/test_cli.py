@@ -4,6 +4,12 @@ Each case drives ``main(argv)`` in-process and reads captured stdout/stderr,
 so the tests see exactly what a shell would.
 """
 
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from andorxy import parse_graph, validate_andor, validate_xy, XYGraph
@@ -184,6 +190,34 @@ def test_solve_overflow_is_limit_exit(run):
     text = "\n".join(["andor"] + vs + es + ["s s"]) + "\n"
     code, _, err = run("solve", "g.txt", "--method", "upper", files={"g.txt": text})
     assert code == 3 and "weight sum exceeds" in err
+
+
+def _hub(k):
+    """And-source over k or-vertices, each choosing between a shared and-vertex
+    (weight 1, plus one weight-k/2 edge below it) and its own sink (weight 2).
+    The exact search branches once per or-vertex, one frame deeper each time."""
+    vs = ["v s and", "v c and", "v z or"]
+    es = [f"e c z {k // 2}"]
+    for i in range(k):
+        vs += [f"v o{i:03d} or", f"v t{i:03d} or"]
+        es += [f"e s o{i:03d} 1", f"e o{i:03d} c 1", f"e o{i:03d} t{i:03d} 2"]
+    return "\n".join(["andor"] + vs + es + ["s s"]) + "\n"
+
+
+def test_solve_too_deep_search_is_limit_exit(run):
+    # a recursion limit 60 frames above the caller lets the shallow hub
+    # solve and makes the deep one overflow inside the search
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        shallow = run("solve", "small.txt", "--budget", "5", files={"small.txt": _hub(4)})
+        deep = run("solve", "hub.txt", "--budget", "5", files={"hub.txt": _hub(100)})
+    finally:
+        sys.setrecursionlimit(old)
+    assert shallow[:2] == (0, "optimum 10\n")
+    code, out, err = deep
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "recursion limit" in err and "Traceback" not in err
 
 
 def test_solve_malformed_file(run):
@@ -412,3 +446,13 @@ def test_usage_errors_exit_2(run):
 
 def test_help_exits_zero(run):
     assert run("--help")[0] == 0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, andorxy.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "False\n"

@@ -24,7 +24,8 @@ from andorxy import (
     verify_solution_andor,
     verify_solution_xy,
 )
-from andorxy.generators import GeneratorConfig, gen_andor
+from andorxy import solvers
+from andorxy.generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy_tree
 
 
 def aog(labels, edges, source="s", zero=False):
@@ -307,6 +308,61 @@ def test_verify_agrees_with_first_principles_oracle():
                 oracles.feasible_andor(g, sub)
             assert verify_solution_xy(x, SolutionSubgraph(sub)).feasible == \
                 oracles.feasible_xy(x, sub)
+
+
+def _verdict(verify, g, h):
+    try:
+        return verify(g, h)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def test_verify_from_cached_tree_index_matches_fresh_graph(monkeypatch):
+    monkeypatch.setattr(solvers, "_FAST_MIN_N", 1)
+    rng = Random(5)
+    accepted = 0
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        cfg = GeneratorConfig(n=n, seed=trial, weight_hi=9, and_fraction=rng.random())
+        if trial % 2:
+            g, solve, verify = gen_xy_tree(cfg), solvers.solve_xy_tree, verify_solution_xy
+        else:
+            g, solve, verify = gen_andor_tree(cfg), solvers.solve_andor_tree, verify_solution_andor
+        witness = solve(g).witness
+        core = vars(g)["tree_core"]
+        fresh = type(g)(g.labels, g.edges, g.source, g.zero_weights_allowed)
+        edges = sorted(g.edges)
+        if len(edges) <= 8:
+            subsets = [frozenset(edges[i] for i in range(len(edges)) if bits >> i & 1)
+                       for bits in range(1 << len(edges))]
+        else:
+            subsets = [frozenset(e for e in edges if rng.random() < p)
+                       for p in (0.3, 0.6, 0.9, 1.0) for _ in range(10)]
+        leaf = max(g.labels, key=lambda v: (g.out_degree(v) == 0, v))
+        subsets += [
+            witness.edges,
+            witness.edges | {(leaf, g.source)},
+            witness.edges | {("nowhere", g.source)},
+        ]
+        # swap a witness edge into a sink for a non-edge into an unused sink:
+        # out-degrees and in-edges still look right, only the edge is unknown
+        used = witness.vertices(g.source)
+        spare = [v for v in sorted(g.labels) if v not in used and g.out_degree(v) == 0]
+        for t, hd in sorted(witness.edges):
+            if spare and g.out_degree(hd) == 0 and (t, spare[0]) not in g.edges:
+                subsets.append(witness.edges - {(t, hd)} | {(t, spare[0])})
+                break
+        for sub in subsets:
+            h = SolutionSubgraph(sub)
+            want = _verdict(verify, fresh, h)
+            assert _verdict(verify, g, h) == want
+            if want[0] is True:
+                assert core.accepts(sub) == want[1]
+                accepted += 1
+            elif want[0] is False:
+                assert core.accepts(sub) is None
+        assert "tree_core" not in vars(fresh)
+    assert accepted > 60
 
 
 def test_solution_subgraph_helpers():

@@ -214,6 +214,34 @@ def test_fast_path_error_parity(monkeypatch):
         solve_xy_tree(xyg({"s": (2, 3), "a": (0, 0)}, {("s", "a"): 1}))
 
 
+def _raised(fn, g):
+    with pytest.raises(InvalidGraphError) as exc:
+        fn(g)
+    return str(exc.value)
+
+
+def test_detached_cycle_error_parity(monkeypatch):
+    # n - 1 edges and in-degree 1 off the source, yet no tree: b and c form
+    # a cycle the source never reaches
+    edges = {("s", "a"): 1, ("b", "c"): 1, ("c", "b"): 1}
+    cases = [
+        (solve_andor_tree, aog({"s": AND, "a": OR, "b": OR, "c": OR}, edges)),
+        (solve_xy_tree, xyg({"s": (1, 1), "a": (0, 0), "b": (1, 1), "c": (1, 1)}, edges)),
+    ]
+    scalar = [_raised(fn, g) for fn, g in cases]
+    assert all("cycle: b -> c -> b" in msg and "unreachable: b" in msg for msg in scalar)
+    force_fast(monkeypatch)
+    assert [_raised(fn, g) for fn, g in cases] == scalar
+
+
+def test_fast_path_caches_index_on_the_graph(monkeypatch):
+    force_fast(monkeypatch)
+    g = gen_andor_tree(GeneratorConfig(n=60, seed=3))
+    first = solve_andor_tree(g)
+    core = vars(g)["tree_core"]
+    assert solve_andor_tree(g) == first and vars(g)["tree_core"] is core
+
+
 # ------------------------------------------------------------------- bounds
 
 def test_schedule_and_source_takes_max():
