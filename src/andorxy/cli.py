@@ -2,9 +2,13 @@
 
 Exit codes are the machine-readable channel: 0 = success or decision YES,
 1 = decision NO, 2 = invalid input, 3 = an internal limit was hit (weight
-overflow, solver budget, or a search deeper than the recursion limit).
-Values go to standard output in decimal; diagnostics and progress go to
-standard error.
+overflow, solver budget, or a search deeper than the recursion limit),
+4 = internal error (any other exception, such as running out of memory;
+one stderr line names it).  Values go to standard output in decimal;
+diagnostics and progress go to standard error.
+
+Each command imports the modules it runs inside its handler, so a process
+loads only those.
 """
 
 from __future__ import annotations
@@ -12,43 +16,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy, gen_xy_tree
 from .graphs import (
-    AndOrGraph,
+    BudgetExceededError,
     InvalidGraphError,
     XYGraph,
-    is_in_family_F,
-    is_xy_tree,
+    _in_family_F,
+    _is_out_tree,
     verify_solution_andor,
     verify_solution_xy,
 )
-from .kernel import decide_kernel, kernelize
-from .reductions import (
-    extract_clique,
-    extract_dominating_set,
-    extract_subset,
-    extract_vertex_cover,
-    parse_simple_graph,
-    parse_subset_sum,
-    reduce_clique,
-    reduce_dominating_set,
-    reduce_subset_sum,
-    reduce_vertex_cover,
-    serialize_mapping,
-)
-from .solvers import (
-    BudgetExceededError,
-    decide_exact_weight_xy_tree,
-    dp_upper_bound,
-    schedule_lower_bound,
-    solve_andor_tree,
-    solve_exact_andor,
-    solve_exact_xy,
-    solve_xy_tree,
-)
 from .textio import GraphFormatError, parse_graph, parse_solution, serialize_graph, serialize_solution
 
-OK, NO, INVALID, LIMIT = 0, 1, 2, 3
+OK, NO, INVALID, LIMIT, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _read(path: str) -> str:
@@ -70,7 +49,8 @@ def _decide_line(yes: bool) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # parse_graph validates, and reports any violation as GraphFormatError
+    # parse_graph validates, and reports any violation as GraphFormatError;
+    # the membership tests below therefore skip their own validation
     try:
         g = parse_graph(_read(args.file))
     except GraphFormatError as exc:
@@ -83,20 +63,30 @@ def _cmd_validate(args) -> int:
         if isinstance(g, XYGraph):
             print("family-f: not an and/or graph", file=sys.stderr)
             return INVALID
-        member = is_in_family_F(g)
+        member = _in_family_F(g)
         print(f"family-f: {'yes' if member else 'no'}")
         verdict = verdict and member
     if args.xy_tree:
         if not isinstance(g, XYGraph):
             print("xy-tree: not an x-y graph", file=sys.stderr)
             return INVALID
-        member = is_xy_tree(g)
+        member = _is_out_tree(g)
         print(f"xy-tree: {'yes' if member else 'no'}")
         verdict = verdict and member
     return OK if verdict else NO
 
 
 def _cmd_solve(args) -> int:
+    from .solvers import (
+        decide_exact_weight_xy_tree,
+        dp_upper_bound,
+        schedule_lower_bound,
+        solve_andor_tree,
+        solve_exact_andor,
+        solve_exact_xy,
+        solve_xy_tree,
+    )
+
     g = parse_graph(_read(args.file))
     is_xy = isinstance(g, XYGraph)
 
@@ -151,6 +141,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
+    from .kernel import decide_kernel, kernelize
+
     g = parse_graph(_read(args.file))
     if isinstance(g, XYGraph):
         print("kernelize needs an and/or input", file=sys.stderr)
@@ -169,6 +161,20 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import (
+        extract_clique,
+        extract_dominating_set,
+        extract_subset,
+        extract_vertex_cover,
+        parse_simple_graph,
+        parse_subset_sum,
+        reduce_clique,
+        reduce_dominating_set,
+        reduce_subset_sum,
+        reduce_vertex_cover,
+        serialize_mapping,
+    )
+
     text = _read(args.file)
     if args.kind == "vc":
         if args.k is None:
@@ -224,6 +230,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy, gen_xy_tree
+
     try:
         lo, hi = args.weights.split(":")
         cfg = GeneratorConfig(
@@ -332,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return INVALID
+    except Exception as exc:  # a defect, not an answer: never let it read as NO
+        print(f"internal error: {type(exc).__name__}", file=sys.stderr)
+        return INTERNAL
 
 
 def run() -> None:

@@ -8,14 +8,13 @@ order matches construction order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .graphs import MAX_WEIGHT, AND, OR, AndOrGraph, Edge, XYGraph
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     """Knobs shared by all generators.
 
     n: vertex count.
@@ -56,29 +55,28 @@ def _dag_edges(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[Edge, 
     vertex, which makes the whole graph reachable from ids[0]; extra forward
     edges appear with probability cfg.density.
     """
-    n = cfg.n
-    edges: dict[Edge, int] = {}
-    for i in range(1, n):
-        p = rng.randrange(i)
-        edges[(ids[p], ids[i])] = rng.randint(cfg.weight_lo, cfg.weight_hi)
+    n, lo, hi, density = cfg.n, cfg.weight_lo, cfg.weight_hi, cfg.density
+    edges = _tree_edges(cfg, rng, ids)
     for i in range(n):
         for j in range(i + 1, n):
             e = (ids[i], ids[j])
-            if e not in edges and rng.random() < cfg.density:
-                edges[e] = rng.randint(cfg.weight_lo, cfg.weight_hi)
+            if e not in edges and rng.random() < density:
+                edges[e] = rng.randint(lo, hi)
     return edges
 
 
 def _tree_edges(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[Edge, int]:
+    lo, hi = cfg.weight_lo, cfg.weight_hi
     edges: dict[Edge, int] = {}
     for i in range(1, cfg.n):
         p = rng.randrange(i)
-        edges[(ids[p], ids[i])] = rng.randint(cfg.weight_lo, cfg.weight_hi)
+        edges[(ids[p], ids[i])] = rng.randint(lo, hi)
     return edges
 
 
 def _andor_labels(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[str, str]:
-    return {v: (AND if rng.random() < cfg.and_fraction else OR) for v in ids}
+    p_and = cfg.and_fraction
+    return {v: (AND if rng.random() < p_and else OR) for v in ids}
 
 
 def _xy_labels(rng: Random, ids: list[str], edges: dict[Edge, int]) -> dict[str, tuple[int, int]]:

@@ -14,7 +14,6 @@ solution must be reachable from the source inside the solution itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -51,20 +50,65 @@ class VerifyResult(NamedTuple):
     violations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AndOrGraph:
-    """And/or graph: vertex labels, weighted edges, source.
+class BudgetExceededError(RuntimeError):
+    """The exact solver ran out of its wall-clock budget."""
 
-    ``labels`` maps vertex id to "and" or "or"; ``edges`` maps (tail, head)
-    to a weight.  Instances are treated as immutable; the dict fields must
-    not be mutated after construction.  ``zero_weights_allowed`` relaxes the
-    positive-weight requirement to nonnegative.
+
+class _Record:
+    """Immutable value object.
+
+    Subclasses name their fields in ``_fields`` and set each once, in
+    ``__init__``, through ``object.__setattr__``.  Equality, hashing and
+    the repr go by the field values, as for a frozen dataclass.
     """
 
-    labels: dict[VertexId, str]
-    edges: dict[Edge, int]
-    source: VertexId
-    zero_weights_allowed: bool = False
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: it is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: it is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class _Graph(_Record):
+    """Labels, weighted edges and a source; the base of both graph kinds.
+
+    ``edges`` maps (tail, head) to a weight.  The dicts must not be mutated
+    after construction.  ``zero_weights_allowed`` relaxes the
+    positive-weight requirement to nonnegative.  Derived adjacency is
+    cached in the instance ``__dict__``.
+    """
+
+    _fields = ("labels", "edges", "source", "zero_weights_allowed")
+
+    def __init__(self, labels: dict, edges: dict[Edge, int], source: VertexId,
+                 zero_weights_allowed: bool = False):
+        # object.__setattr__ keeps the fast attribute reads that writing to
+        # __dict__ directly would lose
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "zero_weights_allowed", zero_weights_allowed)
 
     @cached_property
     def out_adj(self) -> dict[VertexId, list[tuple[VertexId, int]]]:
@@ -85,46 +129,28 @@ class AndOrGraph:
         return sum(self.edges.values())
 
 
-@dataclass(frozen=True)
-class XYGraph:
+class AndOrGraph(_Graph):
+    """And/or graph: ``labels`` maps vertex id to "and" or "or"."""
+
+
+class XYGraph(_Graph):
     """x-y graph: ``labels`` maps vertex id to an (x, y) pair."""
 
-    labels: dict[VertexId, tuple[int, int]]
-    edges: dict[Edge, int]
-    source: VertexId
-    zero_weights_allowed: bool = False
 
-    @cached_property
-    def out_adj(self) -> dict[VertexId, list[tuple[VertexId, int]]]:
-        return _out_adj(self.labels, self.edges)
-
-    @cached_property
-    def in_degrees(self) -> dict[VertexId, int]:
-        return _in_degrees(self.labels, self.edges)
-
-    def out_degree(self, v: VertexId) -> int:
-        return len(self.out_adj[v])
-
-    def is_sink(self, v: VertexId) -> bool:
-        return not self.out_adj[v]
-
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
-
-
-@dataclass(frozen=True)
-class FGraph:
+class FGraph(NamedTuple):
     """Dependency hypergraph: arcs from a single tail to a nonempty head set."""
 
     vertices: frozenset[VertexId]
     farcs: tuple[tuple[VertexId, frozenset[VertexId]], ...]
 
 
-@dataclass(frozen=True)
-class SolutionSubgraph:
+class SolutionSubgraph(_Record):
     """A candidate solution: a set of (tail, head) edges."""
 
-    edges: frozenset[Edge]
+    __slots__ = _fields = ("edges",)
+
+    def __init__(self, edges: frozenset[Edge]):
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -481,12 +507,17 @@ def _unreached(source, vs, h: SolutionSubgraph) -> list[str]:
 def is_xy_tree(g: XYGraph) -> bool:
     """True when the graph is an out-tree: every non-source vertex has in-degree 1."""
     require_valid_xy(g)
-    return all(d == 1 for v, d in g.in_degrees.items() if v != g.source)
+    return _is_out_tree(g)
 
 
 def is_andor_tree(g: AndOrGraph) -> bool:
     """True when the and/or graph is an out-tree rooted at the source."""
     require_valid_andor(g)
+    return _is_out_tree(g)
+
+
+def _is_out_tree(g: AndOrGraph | XYGraph) -> bool:
+    """The out-tree test on a graph already known to be valid."""
     return all(d == 1 for v, d in g.in_degrees.items() if v != g.source)
 
 
@@ -498,6 +529,11 @@ def is_in_family_F(g: AndOrGraph) -> bool:
     among its out-neighbors.
     """
     require_valid_andor(g)
+    return _in_family_F(g)
+
+
+def _in_family_F(g: AndOrGraph) -> bool:
+    """The family-F test on an and/or graph already known to be valid."""
     if any(w != 1 for w in g.edges.values()):
         return False
     for v, lab in g.labels.items():

@@ -11,7 +11,6 @@ deleted, so the kernel stays a valid graph and the decision is unchanged.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (
@@ -43,8 +42,7 @@ class RuleApplication(NamedTuple):
         return f"rule {self.rule}: reweight edge {t} -> {h} to forbidden"
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Reduced instance plus the full audit trail.
 
     ``reduced`` is None exactly when the rules prove the answer is "no"

@@ -9,7 +9,7 @@ sidecar mapping and diffs stay stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import (
     AND,
@@ -19,6 +19,7 @@ from .graphs import (
     SolutionSubgraph,
     VertexId,
     XYGraph,
+    _Record,
     require_valid_andor,
     require_valid_xy,
     verify_solution_andor,
@@ -26,19 +27,19 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Record):
     """Undirected simple graph: no self-loops, no parallel edges."""
 
-    vertices: frozenset[str]
-    edges: frozenset[frozenset[str]]
+    __slots__ = _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        for e in self.edges:
+    def __init__(self, vertices: frozenset[str], edges: frozenset[frozenset[str]]):
+        for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {set(e)!r} must join two distinct vertices")
-            if not e <= self.vertices:
+            if not e <= vertices:
                 raise ValueError(f"edge {set(e)!r} references an undeclared vertex")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def from_pairs(pairs, extra_vertices=()) -> "SimpleGraph":
@@ -57,32 +58,31 @@ class SimpleGraph:
         return frozenset((u, v)) in self.edges
 
 
-@dataclass(frozen=True)
-class SubsetSumInstance:
+class SubsetSumInstance(_Record):
     """Pick exactly p of the z values so they total q."""
 
-    z: tuple[int, ...]
-    p: int
-    q: int
+    __slots__ = _fields = ("z", "p", "q")
 
-    def __post_init__(self):
-        if any(not isinstance(v, int) or v < 1 for v in self.z):
+    def __init__(self, z: tuple[int, ...], p: int, q: int):
+        if any(not isinstance(v, int) or v < 1 for v in z):
             raise ValueError("z values must be positive integers")
-        if not isinstance(self.p, int) or self.p < 1:
+        if not isinstance(p, int) or p < 1:
             raise ValueError("p must be a positive integer")
-        if not isinstance(self.q, int) or self.q < 0:
+        if not isinstance(q, int) or q < 0:
             raise ValueError("q must be a nonnegative integer")
-        if self.p > len(self.z):
-            raise ValueError(f"p = {self.p} exceeds the number of values {len(self.z)}")
+        if p > len(z):
+            raise ValueError(f"p = {p} exceeds the number of values {len(z)}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
+class ReductionArtifact(NamedTuple):
     """A gadget instance, its decision threshold, and the entity-to-vertex map."""
 
     instance: AndOrGraph | XYGraph
     threshold: int
-    id_map: dict[str, VertexId] = field(default_factory=dict)
+    id_map: dict[str, VertexId]
     kind: str = ""
 
 

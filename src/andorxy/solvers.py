@@ -10,9 +10,9 @@ which edges the rest of the solution already pays for.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 from time import monotonic
+from typing import NamedTuple
 
 from .graphs import (
     MAX_SUM,
@@ -20,6 +20,7 @@ from .graphs import (
     AND,
     OR,
     AndOrGraph,
+    BudgetExceededError,
     InvalidGraphError,
     SolutionSubgraph,
     VertexId,
@@ -29,12 +30,7 @@ from .graphs import (
 )
 
 
-class BudgetExceededError(RuntimeError):
-    """The exact solver ran out of its wall-clock budget."""
-
-
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Optimum (or bound) value plus a feasible witness achieving it."""
 
     optimum: int
@@ -47,8 +43,7 @@ class SolveResult:
         return (self.nodes, self.prunes)
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     """Earliest-completion times per vertex; times[source] bounds the optimum from below."""
 
     times: dict[VertexId, int]
@@ -630,8 +625,9 @@ def decide_exact_weight_xy_tree(g: XYGraph, k: int):
 
     Bottom-up subset-sum over achievable solution weights, every set capped
     at k (heavier partial solutions can never come back down, weights being
-    positive).  Returns (exists, witness); the witness is None on a negative
-    answer.  Rejects non-trees, zero weights, and negative k.
+    positive).  A k above the total edge weight is a NO without that work.
+    Returns (exists, witness); the witness is None on a negative answer.
+    Rejects non-trees, zero weights, and negative k.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -640,6 +636,8 @@ def decide_exact_weight_xy_tree(g: XYGraph, k: int):
     xs = _xy_demands(g, idx)
     if any(w == 0 for w in g.edges.values()):
         raise InvalidGraphError("exact-weight decision requires positive edge weights")
+    if k > g.total_weight():
+        return False, None  # no solution outweighs the whole graph; the mask below grows with k
 
     adj = idx.adj
     n = idx.n

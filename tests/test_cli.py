@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from andorxy import parse_graph, validate_andor, validate_xy, XYGraph
+from andorxy import cli, graphs, textio
 from andorxy.cli import main
 
 TREE = "andor\nv a or\nv b or\nv c or\nv d or\nv s and\ne a c 3\ne a d 1\ne s a 1\ne s b 2\ns s\n"
@@ -91,6 +92,21 @@ def test_validate_xy_tree_flag(run):
     assert code == 1 and "xy-tree: no" in out
 
 
+@pytest.mark.parametrize("flag, text, line", [
+    ("--xy-tree", XY_TREE, "xy-tree: yes"),
+    ("--family-f", TREE, "family-f: no"),
+], ids=["xy-tree", "family-f"])
+def test_validate_membership_flags_validate_once(run, monkeypatch, flag, text, line):
+    calls = []
+    originals = {name: getattr(graphs, name) for name in ("validate_andor", "validate_xy")}
+    for module in (graphs, textio):
+        for name, real in originals.items():
+            monkeypatch.setattr(module, name, lambda g, real=real: calls.append(g) or real(g))
+    code, out, _ = run("validate", "g.txt", flag, files={"g.txt": text})
+    assert line in out and code == (0 if line.endswith("yes") else 1)
+    assert len(calls) == 1
+
+
 def test_validate_missing_file(run):
     code, _, err = run("validate", "/nonexistent/path.txt")
     assert code == 2
@@ -163,6 +179,12 @@ def test_solve_exact_weight_decision(run, tmp_path):
     assert code == 1 and out == "NO\n"
 
 
+def test_solve_exact_weight_above_total_is_no(run):
+    # the weight-k bitset would need 2**62 bits; the total weight settles it
+    code, out, err = run("solve", "g.txt", "--exact-weight", str(2**62), files={"g.txt": XY_TREE})
+    assert (code, out, err) == (1, "NO\n", "")
+
+
 def test_solve_exact_weight_needs_xy(run):
     code, _, err = run("solve", "g.txt", "--exact-weight", "3", files={"g.txt": TREE})
     assert code == 2 and "x-y tree" in err
@@ -218,6 +240,17 @@ def test_solve_too_deep_search_is_limit_exit(run):
     code, out, err = deep
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "recursion limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError, KeyError])
+def test_unexpected_exception_is_internal_error_exit(run, monkeypatch, exc):
+    def broken(args):
+        raise exc("detail")
+
+    monkeypatch.setattr(cli, "_cmd_verify", broken)
+    code, out, err = run("verify", "g.txt", "h.txt")
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {exc.__name__}\n"
 
 
 def test_solve_malformed_file(run):
@@ -448,11 +481,42 @@ def test_help_exits_zero(run):
     assert run("--help")[0] == 0
 
 
-def test_cli_import_leaves_numpy_unloaded():
+# A child process lists the modules its program adds to those a bare
+# interpreter has once ``site`` has run; ``argv`` holds the file names.
+_STARTUP_CHILD = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "argv = sys.argv[1:]\n"
+    "{}\n"
+    "print('modules', *sorted(set(sys.modules) - before))\n"
+)
+_SKIPPED_BY_CHECKS = {"andorxy.solvers", "andorxy.kernel", "andorxy.reductions",
+                      "andorxy.generators"}
+
+
+@pytest.mark.parametrize("program, expect_andorxy, never", [
+    ("import andorxy", {"andorxy"}, None),
+    ("import andorxy.cli",
+     {"andorxy", "andorxy.cli", "andorxy.graphs", "andorxy.textio"}, {"numpy", "dataclasses"}),
+    ("from andorxy.cli import main\n"
+     "assert main(['validate', argv[0], '--xy-tree']) == 0\n"
+     "assert main(['verify', argv[0], argv[1]]) == 0",
+     {"andorxy", "andorxy.cli", "andorxy.graphs", "andorxy.textio"},
+     {"numpy", "dataclasses"} | _SKIPPED_BY_CHECKS),
+], ids=["import-package", "import-cli", "validate-verify"])
+def test_startup_loads_only_what_the_command_runs(tmp_path, program, expect_andorxy, never):
+    graph, solution = tmp_path / "g.txt", tmp_path / "h.txt"
+    graph.write_text(XY_TREE)
+    solution.write_text("e s a\ne s b\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, andorxy.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out == "False\n"
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHILD.format(program), str(graph), str(solution)],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    loaded = set(out.splitlines()[-1].split()[1:])
+    if never is None:  # nothing at all beyond the expected modules
+        assert loaded == expect_andorxy
+    else:
+        assert {m for m in loaded if m.split(".")[0] == "andorxy"} == expect_andorxy
+        assert not loaded & never

@@ -534,6 +534,25 @@ def test_exact_weight_input_checks():
         decide_exact_weight_xy_tree(diamond, 3)
 
 
+def test_exact_weight_near_and_above_the_total_weight(monkeypatch):
+    rng = Random(78)
+    for trial in range(40):
+        g = gen_xy_tree(GeneratorConfig(n=rng.randint(1, 9), seed=trial, weight_hi=5))
+        achievable = oracles.brute_weights_xy(g)
+        total = g.total_weight()
+        for k in range(max(0, total - 2), total + 3):
+            assert decide_exact_weight_xy_tree(g, k)[0] == (k in achievable), f"trial {trial} k {k}"
+
+    def no_bitset(m):
+        raise AssertionError("the weight bitset was built")
+
+    # above the total the answer is NO before any weight-k bitset exists
+    monkeypatch.setattr(solvers, "_bit_positions", no_bitset)
+    g = gen_xy_tree(GeneratorConfig(n=40, seed=1))
+    for k in (g.total_weight() + 1, 2**62):
+        assert decide_exact_weight_xy_tree(g, k) == (False, None)
+
+
 def test_exact_weight_prefers_some_witness_for_every_achievable_weight():
     g = xyg(
         {"s": (1, 2), "a": (1, 1), "b": (0, 0), "c": (0, 0)},
