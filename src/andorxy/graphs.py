@@ -223,6 +223,15 @@ def _find_cycle(vertices, out_heads) -> list[VertexId]:
     return []
 
 
+def int_weights(weights) -> bool:
+    """True when every weight is an int and none a bool, as validation requires.
+
+    Looks at the set of the weights' types, so the per-weight cost is one
+    ``type`` call.
+    """
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, weights)))
+
+
 def _structural_violations(labels, edges, source, zero_ok) -> list[str]:
     out: list[str] = []
     if source not in labels:

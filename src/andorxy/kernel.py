@@ -69,6 +69,11 @@ def compute_r(g: AndOrGraph) -> int:
     graph has no or-vertices at all.
     """
     require_valid_andor(g)
+    return _multiplicity(g)
+
+
+def _multiplicity(g: AndOrGraph) -> int:
+    """``compute_r`` of a graph already validated."""
     r = 1
     for v, lab in g.labels.items():
         if lab != AND:
@@ -141,7 +146,7 @@ def kernelize(g: AndOrGraph, k: int, r: int | None = None) -> KernelResult:
     if any(w < 1 for w in g.edges.values()):
         raise InvalidGraphError("kernelization requires positive edge weights")
     if r is None:
-        r = compute_r(g)
+        r = _multiplicity(g)
     forbidden = k + 1
 
     labels = dict(g.labels)

@@ -1,10 +1,16 @@
 """Solvers and bounds for minimum-weight solution subgraphs.
 
-Tree inputs admit a linear-time recurrence.  General DAGs get a sandwich of
-bounds (a scheduling-style lower bound and a sharing-blind upper bound) and
-an exact branch-and-bound search over choice vertices.  Shared substructure
-is why the exact search cannot memoize: the cost of a subgraph depends on
-which edges the rest of the solution already pays for.
+Both problems run on demand vectors: a vertex takes x of its out-edges,
+where an and-vertex demands all of them and an or-vertex one.  One additive
+recurrence over those demands (each vertex takes its x cheapest options,
+edge weight plus the cost below the head, ties to the smaller head id)
+serves the scalar tree solvers, ``dp_upper_bound`` and the exact search's
+first incumbent; on a tree its value is the optimum, on a DAG it ignores
+sharing and the true weight of the edges it picks bounds the optimum from
+above.  A second recurrence, the x-th smallest option, gives the
+completion-time lower bound.  The exact branch-and-bound search over choice
+vertices cannot memoize: the cost of a subgraph depends on which edges the
+rest of the solution already pays for.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .graphs import (
     SolutionSubgraph,
     VertexId,
     XYGraph,
+    int_weights,
     validate_andor,
     validate_xy,
 )
@@ -91,10 +98,9 @@ def _index(g: AndOrGraph | XYGraph) -> _Indexed:
         except KeyError:
             ok = False
     if ok and edges:
-        lo = min(edges.values())
-        hi = max(edges.values())
-        if lo < (0 if g.zero_weights_allowed else 1) or hi > MAX_WEIGHT:
-            ok = False
+        ok = int_weights(edges.values()) and (
+            (0 if g.zero_weights_allowed else 1) <= min(edges.values())
+            and max(edges.values()) <= MAX_WEIGHT)
     if ok:
         for lst in adj:
             lst.sort()
@@ -130,13 +136,16 @@ def _require_tree(idx: _Indexed) -> None:
 def _xy_demands(g: XYGraph, idx: _Indexed) -> list[int]:
     """Per-vertex x values, cross-checked against actual out-degrees."""
     xs = [0] * idx.n
-    for v in range(idx.n):
-        x, y = g.labels[idx.names[v]]
-        if y != len(idx.adj[v]) or not 0 <= x <= y:
-            rep = validate_xy(g)
-            raise InvalidGraphError("; ".join(rep.violations) or "bad x-y labels")
-        xs[v] = x
-    return xs
+    try:
+        for v in range(idx.n):
+            x, y = g.labels[idx.names[v]]  # TypeError or ValueError: no pair of numbers
+            if y != len(idx.adj[v]) or not 0 <= x <= y:
+                raise ValueError
+            xs[v] = x
+        return xs
+    except (TypeError, ValueError):
+        rep = validate_xy(g)
+        raise InvalidGraphError("; ".join(rep.violations) or "bad x-y labels") from None
 
 
 def _andor_demands(g: AndOrGraph, idx: _Indexed) -> list[int]:
@@ -181,85 +190,22 @@ def _solve_tree_fast(g: AndOrGraph | XYGraph, xy: bool) -> SolveResult | None:
     return SolveResult(optimum, SolutionSubgraph(pairs), nodes=core.n)
 
 
-def solve_andor_tree(g: AndOrGraph) -> SolveResult:
-    """Minimum solution of an and/or out-tree by the bottom-up recurrence.
+def _sharing_blind(idx: _Indexed, xs: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The additive recurrence with demands ``xs``, and the edges it picks.
 
-    Sinks cost 0; an and-vertex pays every child edge plus child cost; an
-    or-vertex takes the cheapest child, ties broken toward the smaller head
-    id.  Linear in the size of the tree.
+    Bottom-up, each vertex takes its x cheapest options (edge weight plus
+    the cost below the head), ties going to the smaller head id.  On a DAG
+    the recurrence counts shared substructure once per use; the picked
+    edges are then collected once each, so the returned weight is their
+    true weight, exact on trees and an upper bound elsewhere.
     """
-    if len(g.labels) >= _FAST_MIN_N:
-        res = _solve_tree_fast(g, xy=False)
-        if res is not None:
-            return res
-    idx = _index(g)
-    _require_tree(idx)
-    labels, names, adj = g.labels, idx.names, idx.adj
-    n = idx.n
-    c = [0] * n
-    pick = [0] * n
-    for v in reversed(idx.order):
-        lst = adj[v]
-        if not lst:
-            continue
-        if labels[names[v]] == AND:
-            s = 0
-            for h, w in lst:
-                s += w + c[h]
-            c[v] = _check_sum(s)
-        else:
-            best = lst[0][1] + c[lst[0][0]]
-            bj = 0
-            for j in range(1, len(lst)):
-                h, w = lst[j]
-                t = w + c[h]
-                if t < best:
-                    best = t
-                    bj = j
-            c[v] = best
-            pick[v] = bj
-
-    pairs = []
-    stack = [idx.src]
-    while stack:
-        v = stack.pop()
-        lst = adj[v]
-        if not lst:
-            continue
-        if labels[names[v]] == AND:
-            for h, _w in lst:
-                pairs.append((v, h))
-                stack.append(h)
-        else:
-            h = lst[pick[v]][0]
-            pairs.append((v, h))
-            stack.append(h)
-    return SolveResult(c[idx.src], _witness(idx, pairs), nodes=n)
-
-
-def solve_xy_tree(g: XYGraph) -> SolveResult:
-    """Minimum solution of an x-y out-tree.
-
-    Each vertex takes its x cheapest child options (edge weight plus child
-    cost); ties go to smaller head ids.  Selection uses a bounded heap per
-    vertex, keeping the whole solve near-linear in the tree size.
-    """
-    if len(g.labels) >= _FAST_MIN_N:
-        res = _solve_tree_fast(g, xy=True)
-        if res is not None:
-            return res
-    idx = _index(g)
-    _require_tree(idx)
-    xs = _xy_demands(g, idx)
     adj = idx.adj
-    n = idx.n
-    c = [0] * n
-    pick: list[tuple[int, ...] | None] = [None] * n  # None means all out-edges
+    c = [0] * idx.n
+    pick: list = [()] * idx.n  # the chosen (head, weight) out-edges of each vertex
     nsmallest = heapq.nsmallest
     for v in reversed(idx.order):
         x = xs[v]
         if x == 0:
-            pick[v] = ()
             continue
         lst = adj[v]
         if x == len(lst):
@@ -267,6 +213,7 @@ def solve_xy_tree(g: XYGraph) -> SolveResult:
             for h, w in lst:
                 s += w + c[h]
             c[v] = _check_sum(s)
+            pick[v] = lst
         elif x == 1:
             best = lst[0][1] + c[lst[0][0]]
             bj = 0
@@ -277,28 +224,82 @@ def solve_xy_tree(g: XYGraph) -> SolveResult:
                     best = t
                     bj = j
             c[v] = best
-            pick[v] = (bj,)
+            pick[v] = (lst[bj],)
         else:
             sel = nsmallest(x, [(w + c[h], j) for j, (h, w) in enumerate(lst)])
             c[v] = _check_sum(sum(t for t, _ in sel))
-            pick[v] = tuple(j for _, j in sel)
+            pick[v] = [lst[j] for _, j in sel]
 
-    pairs = []
+    seen = bytearray(idx.n)
+    seen[idx.src] = 1
     stack = [idx.src]
+    pairs = []
+    weight = 0
     while stack:
         v = stack.pop()
-        ch = pick[v]
+        for h, w in pick[v]:
+            pairs.append((v, h))
+            weight += w
+            if not seen[h]:
+                seen[h] = 1
+                stack.append(h)
+    return _check_sum(weight), pairs
+
+
+def _solve_tree(g: AndOrGraph | XYGraph, xy: bool) -> SolveResult:
+    if len(g.labels) >= _FAST_MIN_N:
+        res = _solve_tree_fast(g, xy)
+        if res is not None:
+            return res
+    idx = _index(g)
+    xs = _xy_demands(g, idx) if xy else _andor_demands(g, idx)
+    _require_tree(idx)
+    weight, pairs = _sharing_blind(idx, xs)
+    return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
+
+
+def solve_andor_tree(g: AndOrGraph) -> SolveResult:
+    """Minimum solution of an and/or out-tree by the bottom-up recurrence.
+
+    Sinks cost 0; an and-vertex pays every child edge plus child cost; an
+    or-vertex takes the cheapest child, ties broken toward the smaller head
+    id.  Linear in the size of the tree.
+    """
+    return _solve_tree(g, xy=False)
+
+
+def solve_xy_tree(g: XYGraph) -> SolveResult:
+    """Minimum solution of an x-y out-tree.
+
+    Each vertex takes its x cheapest child options (edge weight plus child
+    cost); ties go to smaller head ids.  Selection uses a bounded heap per
+    vertex, keeping the whole solve near-linear in the tree size.
+    """
+    return _solve_tree(g, xy=True)
+
+
+def _schedule(idx: _Indexed, xs: list[int]) -> list[int]:
+    """Completion-time lower bound: the x-th smallest option per vertex.
+
+    Any solution through v takes some x out-edges, so it pays at least the
+    x-th smallest of (weight + bound below head); sharing cannot undercut a
+    single chain.  That is the max at and-vertices and the min at
+    or-vertices.
+    """
+    adj = idx.adj
+    t = [0] * idx.n
+    for v in reversed(idx.order):
+        x = xs[v]
+        if x == 0:
+            continue
         lst = adj[v]
-        if ch is None:
-            for h, _w in lst:
-                pairs.append((v, h))
-                stack.append(h)
+        if x == len(lst):
+            t[v] = _check_sum(max(w + t[h] for h, w in lst))
+        elif x == 1:
+            t[v] = min(w + t[h] for h, w in lst)
         else:
-            for j in ch:
-                h = lst[j][0]
-                pairs.append((v, h))
-                stack.append(h)
-    return SolveResult(c[idx.src], _witness(idx, pairs), nodes=n)
+            t[v] = sorted(w + t[h] for h, w in lst)[x - 1]
+    return t
 
 
 def schedule_lower_bound(g: AndOrGraph) -> ScheduleResult:
@@ -309,16 +310,8 @@ def schedule_lower_bound(g: AndOrGraph) -> ScheduleResult:
     feasible solution pays for at least one full chain the recurrence counts.
     """
     idx = _index(g)
-    labels, names, adj = g.labels, idx.names, idx.adj
-    t = [0] * idx.n
-    for v in reversed(idx.order):
-        lst = adj[v]
-        if not lst:
-            continue
-        if labels[names[v]] == AND:
-            t[v] = _check_sum(max(w + t[h] for h, w in lst))
-        else:
-            t[v] = min(w + t[h] for h, w in lst)
+    t = _schedule(idx, _andor_demands(g, idx))
+    names = idx.names
     return ScheduleResult({names[i]: t[i] for i in range(idx.n)})
 
 
@@ -330,105 +323,8 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
     edges counted once), which upper-bounds the exact optimum.
     """
     idx = _index(g)
-    labels, names, adj = g.labels, idx.names, idx.adj
-    n = idx.n
-    c = [0] * n
-    pick = [0] * n
-    for v in reversed(idx.order):
-        lst = adj[v]
-        if not lst:
-            continue
-        if labels[names[v]] == AND:
-            s = 0
-            for h, w in lst:
-                s += w + c[h]
-            c[v] = _check_sum(s)
-        else:
-            best = lst[0][1] + c[lst[0][0]]
-            bj = 0
-            for j in range(1, len(lst)):
-                h, w = lst[j]
-                t = w + c[h]
-                if t < best:
-                    best = t
-                    bj = j
-            c[v] = best
-            pick[v] = bj
-
-    seen = bytearray(n)
-    seen[idx.src] = 1
-    stack = [idx.src]
-    pairs = []
-    weight = 0
-    while stack:
-        v = stack.pop()
-        lst = adj[v]
-        if not lst:
-            continue
-        take = lst if labels[names[v]] == AND else (lst[pick[v]],)
-        for h, w in take:
-            pairs.append((v, h))
-            weight += w
-            if not seen[h]:
-                seen[h] = 1
-                stack.append(h)
-    return SolveResult(_check_sum(weight), _witness(idx, pairs), nodes=n)
-
-
-def _xy_schedule(idx: _Indexed, xs: list[int]) -> list[int]:
-    """Generalized completion-time lower bound: the x-th smallest option.
-
-    Any solution through v takes some x out-edges, so it pays at least the
-    x-th smallest of (weight + bound below head); sharing cannot undercut a
-    single chain.
-    """
-    t = [0] * idx.n
-    for v in reversed(idx.order):
-        x = xs[v]
-        if x:
-            vals = sorted(w + t[h] for h, w in idx.adj[v])
-            t[v] = vals[x - 1]
-    return t
-
-
-def _greedy_incumbent(idx: _Indexed, xs, offs, ehead, ew):
-    """Sharing-blind recurrence plus materialization: a feasible starting point."""
-    adj = idx.adj
-    n = idx.n
-    c = [0] * n
-    pick: list[tuple[int, ...] | None] = [None] * n
-    for v in reversed(idx.order):
-        x = xs[v]
-        if x == 0:
-            pick[v] = ()
-            continue
-        lst = adj[v]
-        if x == len(lst):
-            c[v] = _check_sum(sum(w + c[h] for h, w in lst))
-        else:
-            sel = heapq.nsmallest(x, [(w + c[h], j) for j, (h, w) in enumerate(lst)])
-            c[v] = _check_sum(sum(t for t, _ in sel))
-            pick[v] = tuple(j for _, j in sel)
-
-    seen = bytearray(n)
-    seen[idx.src] = 1
-    stack = [idx.src]
-    eids = []
-    weight = 0
-    while stack:
-        v = stack.pop()
-        ch = pick[v]
-        base = offs[v]
-        js = range(len(idx.adj[v])) if ch is None else ch
-        for j in js:
-            eid = base + j
-            eids.append(eid)
-            weight += ew[eid]
-            h = ehead[eid]
-            if not seen[h]:
-                seen[h] = 1
-                stack.append(h)
-    return weight, eids
+    weight, pairs = _sharing_blind(idx, _andor_demands(g, idx))
+    return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
 
 
 _OP_EDGE, _OP_VERT, _OP_PEND, _OP_UNPEND = 0, 1, 2, 3
@@ -460,18 +356,16 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
             ew[base + j] = w
             etail[base + j] = v
 
-    tsch = _xy_schedule(idx, xs)
+    tsch = _schedule(idx, xs)
     minw = [0] * n
     for v in range(n):
         x = xs[v]
         if x:
             minw[v] = sum(sorted(w for _h, w in adj[v])[:x])
 
-    ub_w, ub_eids = _greedy_incumbent(idx, xs, offs, ehead, ew)
+    ub_w, ub_pairs = _sharing_blind(idx, xs)
     if tsch[idx.src] == ub_w:
-        return SolveResult(
-            ub_w, _witness(idx, [(etail[i], ehead[i]) for i in ub_eids]), nodes=1
-        )
+        return SolveResult(ub_w, _witness(idx, ub_pairs), nodes=1)
 
     deadline = None
     if budget_s is not None:
@@ -484,7 +378,7 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
     pending: set[int] = set()
     trail: list[tuple[int, int]] = []
     state = [0, 0]  # committed weight, sum of pending floors
-    best = [ub_w, list(ub_eids)]
+    best = [ub_w, ub_pairs]  # weight, (tail, head) index pairs
     counters = [0, 0]  # nodes, prunes
 
     def include(v0: int) -> None:
@@ -542,7 +436,7 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
             return
         if not pending:
             best[0] = state[0]
-            best[1] = [i for i in range(ecount) if in_sol[i]]
+            best[1] = [(etail[i], ehead[i]) for i in range(ecount) if in_sol[i]]
             return
         # fail-first: decide the pending vertex with the costliest cheap completion
         v = -1
@@ -578,12 +472,7 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
 
     include(idx.src)
     search()
-    return SolveResult(
-        best[0],
-        _witness(idx, [(etail[i], ehead[i]) for i in best[1]]),
-        nodes=counters[0],
-        prunes=counters[1],
-    )
+    return SolveResult(best[0], _witness(idx, best[1]), nodes=counters[0], prunes=counters[1])
 
 
 def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResult:
@@ -632,8 +521,8 @@ def decide_exact_weight_xy_tree(g: XYGraph, k: int):
     if k < 0:
         raise ValueError("k must be nonnegative")
     idx = _index(g)
-    _require_tree(idx)
     xs = _xy_demands(g, idx)
+    _require_tree(idx)
     if any(w == 0 for w in g.edges.values()):
         raise InvalidGraphError("exact-weight decision requires positive edge weights")
     if k > g.total_weight():

@@ -30,9 +30,9 @@ from .graphs import (
     VertexId,
     XYGraph,
     cached_tree_core,
-    validate_andor,
-    validate_xy,
+    int_weights,
 )
+from .solvers import _andor_demands, _index, _require_tree, _xy_demands
 
 
 @dataclass(eq=False, slots=True)
@@ -100,16 +100,9 @@ class TreeCore:
 
 def _reject(g: AndOrGraph | XYGraph, xy: bool) -> NoReturn:
     """Raise the error the scalar path raises for a graph that is no valid tree."""
-    rep = (validate_xy if xy else validate_andor)(g)
-    if not rep.ok:
-        raise InvalidGraphError("; ".join(rep.violations))
-    # structurally valid, so the remaining complaint must be tree shape
-    indeg = {v: 0 for v in g.labels}
-    for (_t, h) in g.edges:
-        indeg[h] += 1
-    for v in sorted(g.labels):
-        if v != g.source and indeg[v] != 1:
-            raise InvalidGraphError(f"not an out-tree: vertex {v} has in-degree {indeg[v]}")
+    idx = _index(g)
+    (_xy_demands if xy else _andor_demands)(g, idx)
+    _require_tree(idx)
     raise InvalidGraphError("invalid graph")
 
 
@@ -128,7 +121,7 @@ def index_tree(g: AndOrGraph | XYGraph, xy: bool) -> TreeCore:
     m = len(edges)
     names = sorted(labels)
     pos = dict(zip(names, range(n)))
-    if source not in pos or m != n - 1:
+    if source not in pos or m != n - 1 or not int_weights(edges.values()):
         _reject(g, xy)
     try:
         ends = np.fromiter(map(pos.__getitem__, chain.from_iterable(edges)),

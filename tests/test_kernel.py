@@ -16,6 +16,7 @@ from andorxy import (
     kernel_size_bound,
     kernelize,
 )
+from andorxy import graphs
 from andorxy.generators import GeneratorConfig, gen_andor
 
 
@@ -221,6 +222,16 @@ def test_kernelize_input_checks():
         kernelize(z, 3)
     with pytest.raises(InvalidGraphError):
         kernelize(aog({"s": OR, "a": OR}, {("s", "a"): 1, ("a", "s"): 1}), 3)
+
+
+def test_kernelize_validates_its_input_once(monkeypatch):
+    calls = []
+    real = graphs.validate_andor
+    monkeypatch.setattr(graphs, "validate_andor", lambda g: calls.append(g) or real(g))
+    g = gen_andor(GeneratorConfig(n=12, seed=5))
+    kr = kernelize(g, 6)
+    assert sum(c is g for c in calls) == 1
+    assert kr.r == compute_r(g)
 
 
 def test_r_is_computed_or_taken_verbatim():

@@ -141,6 +141,9 @@ def test_tree_solvers_match_brute_force():
         assert res.optimum == best
         check_witness_andor(g, res)
 
+        # the same tree as x-y demands: the shared recurrence and tie-break
+        assert solve_xy_tree(andor_to_xy(g)) == res
+
         x = gen_xy_tree(GeneratorConfig(n=n, seed=trial + 1000, weight_hi=6))
         resx = solve_xy_tree(x)
         bestx, _ = oracles.brute_min_xy(x)
@@ -148,23 +151,40 @@ def test_tree_solvers_match_brute_force():
         check_witness_xy(x, resx)
 
 
+DIAMOND = {("s", "a"): 1, ("s", "b"): 1, ("a", "t"): 1, ("b", "t"): 1}
+
+
 def test_tree_solvers_reject_non_trees():
-    diamond = aog(
-        {"s": AND, "a": OR, "b": OR, "t": OR},
-        {("s", "a"): 1, ("s", "b"): 1, ("a", "t"): 1, ("b", "t"): 1},
-    )
+    diamond = aog({"s": AND, "a": OR, "b": OR, "t": OR}, DIAMOND)
     with pytest.raises(InvalidGraphError, match="not an out-tree: vertex t has in-degree 2"):
         solve_andor_tree(diamond)
     with pytest.raises(InvalidGraphError, match="not an out-tree"):
         solve_xy_tree(andor_to_xy(diamond))
 
 
+# (solver, graph, expected message): labels and y are checked before tree
+# shape, and weights must be ints, as validation requires
+INVALID_TREES = [
+    (solve_andor_tree, aog({"s": AND, "a": OR, "b": OR, "t": OR}, DIAMOND), "not an out-tree"),
+    (solve_andor_tree, aog({"s": AND, "a": OR}, {("s", "a"): 1, ("a", "s"): 1}), "cycle"),
+    (solve_xy_tree, xyg({"s": (2, 3), "a": (0, 0)}, {("s", "a"): 1}), "y mismatch"),
+    (solve_andor_tree, aog({"s": AND, "a": OR, "b": OR, "t": "xor"}, DIAMOND),
+     "vertex t has label 'xor'"),
+    (solve_andor_tree, aog({"s": "xor", "a": OR}, {("s", "a"): 2}), "vertex s has label 'xor'"),
+    (solve_xy_tree, xyg({"s": (2, 3), "a": (1, 1), "b": (1, 1), "t": (0, 0)}, DIAMOND),
+     "y mismatch at s"),
+    (solve_xy_tree, xyg({"s": 5, "a": (0, 0)}, {("s", "a"): 1}), "expected an \\(x, y\\) pair"),
+] + [
+    (fn, make({"s": lab, "a": sink}, {("s", "a"): w}), "non-integer weight")
+    for w in (2.5, True, "3")
+    for fn, make, lab, sink in ((solve_andor_tree, aog, AND, OR), (solve_xy_tree, xyg, (1, 1), (0, 0)))
+]
+
+
 def test_tree_solvers_reject_invalid_graphs():
-    cyc = aog({"s": AND, "a": OR}, {("s", "a"): 1, ("a", "s"): 1})
-    with pytest.raises(InvalidGraphError, match="cycle"):
-        solve_andor_tree(cyc)
-    with pytest.raises(InvalidGraphError, match="y mismatch"):
-        solve_xy_tree(xyg({"s": (2, 3), "a": (0, 0)}, {("s", "a"): 1}))
+    for fn, g, match in INVALID_TREES:
+        with pytest.raises(InvalidGraphError, match=match):
+            fn(g)
 
 
 # ------------------------------------------- vectorized vs scalar tree path
@@ -200,24 +220,16 @@ def test_fast_path_declines_deep_chains_but_still_answers(monkeypatch):
     assert solve_andor_tree(g).optimum == 2 * (n - 1)
 
 
-def test_fast_path_error_parity(monkeypatch):
-    force_fast(monkeypatch)
-    diamond = aog(
-        {"s": AND, "a": OR, "b": OR, "t": OR},
-        {("s", "a"): 1, ("s", "b"): 1, ("a", "t"): 1, ("b", "t"): 1},
-    )
-    with pytest.raises(InvalidGraphError, match="not an out-tree"):
-        solve_andor_tree(diamond)
-    with pytest.raises(InvalidGraphError, match="cycle"):
-        solve_andor_tree(aog({"s": AND, "a": OR}, {("s", "a"): 1, ("a", "s"): 1}))
-    with pytest.raises(InvalidGraphError, match="y mismatch"):
-        solve_xy_tree(xyg({"s": (2, 3), "a": (0, 0)}, {("s", "a"): 1}))
-
-
 def _raised(fn, g):
     with pytest.raises(InvalidGraphError) as exc:
         fn(g)
     return str(exc.value)
+
+
+def test_fast_path_error_parity(monkeypatch):
+    scalar = [_raised(fn, g) for fn, g, _match in INVALID_TREES]
+    force_fast(monkeypatch)
+    assert [_raised(fn, g) for fn, g, _match in INVALID_TREES] == scalar
 
 
 def test_detached_cycle_error_parity(monkeypatch):
@@ -281,7 +293,8 @@ def test_schedule_recurrence_holds_everywhere():
 def test_dp_upper_equals_tree_solver_on_trees():
     for seed in range(15):
         g = gen_andor_tree(GeneratorConfig(n=14, seed=seed))
-        assert dp_upper_bound(g).optimum == solve_andor_tree(g).optimum
+        up, tree = dp_upper_bound(g), solve_andor_tree(g)
+        assert (up.optimum, up.witness) == (tree.optimum, tree.witness)
 
 
 def test_dp_upper_diamond_true_weight():
@@ -427,6 +440,19 @@ def test_exact_rejects_invalid():
         solve_exact_andor(aog({"s": AND, "a": OR}, {("s", "a"): 1, ("a", "s"): 1}))
     with pytest.raises(InvalidGraphError):
         solve_exact_xy(xyg({"s": (2, 1), "a": (0, 0)}, {("s", "a"): 1}))
+    for w in (2.5, True, "3"):
+        with pytest.raises(InvalidGraphError, match="non-integer weight"):
+            solve_exact_andor(aog({"s": AND, "a": OR}, {("s", "a"): w}))
+        with pytest.raises(InvalidGraphError, match="non-integer weight"):
+            solve_exact_xy(xyg({"s": (1, 1), "a": (0, 0)}, {("s", "a"): w}))
+
+
+@pytest.mark.parametrize("fn", [dp_upper_bound, schedule_lower_bound])
+def test_bounds_reject_what_validation_rejects(fn):
+    with pytest.raises(InvalidGraphError, match="vertex s has label 'xor'"):
+        fn(aog({"s": "xor", "a": OR}, {("s", "a"): 2}))
+    with pytest.raises(InvalidGraphError, match="non-integer weight"):
+        fn(aog({"s": AND, "a": OR}, {("s", "a"): 2.5}))
 
 
 def _shared_sink_diamond():
