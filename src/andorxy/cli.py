@@ -20,8 +20,8 @@ from .graphs import (
     BudgetExceededError,
     InvalidGraphError,
     XYGraph,
-    _in_family_F,
-    _is_out_tree,
+    is_in_family_F,
+    is_xy_tree,
     verify_solution_andor,
     verify_solution_xy,
 )
@@ -50,7 +50,7 @@ def _decide_line(yes: bool) -> int:
 
 def _cmd_validate(args) -> int:
     # parse_graph validates, and reports any violation as GraphFormatError;
-    # the membership tests below therefore skip their own validation
+    # the membership tests below read the index that validation cached
     try:
         g = parse_graph(_read(args.file))
     except GraphFormatError as exc:
@@ -63,14 +63,14 @@ def _cmd_validate(args) -> int:
         if isinstance(g, XYGraph):
             print("family-f: not an and/or graph", file=sys.stderr)
             return INVALID
-        member = _in_family_F(g)
+        member = is_in_family_F(g)
         print(f"family-f: {'yes' if member else 'no'}")
         verdict = verdict and member
     if args.xy_tree:
         if not isinstance(g, XYGraph):
             print("xy-tree: not an x-y graph", file=sys.stderr)
             return INVALID
-        member = _is_out_tree(g)
+        member = is_xy_tree(g)
         print(f"xy-tree: {'yes' if member else 'no'}")
         verdict = verdict and member
     return OK if verdict else NO

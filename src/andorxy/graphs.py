@@ -9,6 +9,11 @@ exactly x of its out-edges.  Sinks are labeled 0-0 and carry no obligation.
 A solution subgraph is stored as a bare edge set; its vertex set is the
 source plus every endpoint of a chosen edge.  Every vertex of a feasible
 solution must be reachable from the source inside the solution itself.
+
+Validating a graph builds the integer index (``_Indexed``) that every
+solver and predicate reads, and caches it on the graph, or None for an
+invalid graph.  So the dicts of a graph must not be mutated after
+construction: the cached verdict, like the cached adjacency, would go stale.
 """
 
 from __future__ import annotations
@@ -95,8 +100,8 @@ class _Graph(_Record):
 
     ``edges`` maps (tail, head) to a weight.  The dicts must not be mutated
     after construction.  ``zero_weights_allowed`` relaxes the
-    positive-weight requirement to nonnegative.  Derived adjacency is
-    cached in the instance ``__dict__``.
+    positive-weight requirement to nonnegative.  Derived adjacency and the
+    integer index are cached in the instance ``__dict__``.
     """
 
     _fields = ("labels", "edges", "source", "zero_weights_allowed")
@@ -116,8 +121,9 @@ class _Graph(_Record):
         return _out_adj(self.labels, self.edges)
 
     @cached_property
-    def in_degrees(self) -> dict[VertexId, int]:
-        return _in_degrees(self.labels, self.edges)
+    def index(self) -> _Indexed | None:
+        """The integer index, built on first use; None when the graph is invalid."""
+        return _build_index(self)
 
     def out_degree(self, v: VertexId) -> int:
         return len(self.out_adj[v])
@@ -177,14 +183,6 @@ def _out_adj(labels, edges) -> dict[VertexId, list[tuple[VertexId, int]]]:
     return adj
 
 
-def _in_degrees(labels, edges) -> dict[VertexId, int]:
-    deg = {v: 0 for v in labels}
-    for (t, h) in edges:
-        if h in deg:
-            deg[h] += 1
-    return deg
-
-
 def _find_cycle(vertices, out_heads) -> list[VertexId]:
     """Return one directed cycle as a vertex sequence (first == last)."""
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -223,13 +221,100 @@ def _find_cycle(vertices, out_heads) -> list[VertexId]:
     return []
 
 
-def int_weights(weights) -> bool:
-    """True when every weight is an int and none a bool, as validation requires.
+def plain_ints(values) -> bool:
+    """True when every value is an int and none a bool, as validation requires.
 
-    Looks at the set of the weights' types, so the per-weight cost is one
+    Looks at the set of the values' types, so the per-value cost is one
     ``type`` call.
     """
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, weights)))
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def xy_columns(labels: list) -> tuple[list[int], list[int]] | None:
+    """The x and the y values of x-y labels; None unless each is a tuple of two plain ints."""
+    if not (all(issubclass(t, tuple) for t in set(map(type, labels)))
+            and set(map(len, labels)) <= {2}):
+        return None
+    xs, ys = list(map(itemgetter(0), labels)), list(map(itemgetter(1), labels))
+    return (xs, ys) if plain_ints(xs) and plain_ints(ys) else None
+
+
+def andor_labels(labels) -> bool:
+    """True when every label is "and" or "or"."""
+    try:
+        return set(labels) <= {AND, OR}
+    except TypeError:  # an unhashable label is neither
+        return False
+
+
+class _Indexed(NamedTuple):
+    """Integer index of a valid graph, topologically ordered from the source.
+
+    Vertex i is ``names[i]``, and ids sort like indices; ``adj[v]`` holds
+    v's (head, weight) out-edges sorted by head, the tie-break order.
+    ``xs[v]`` is how many out-edges a solution through v takes: all at an
+    and-vertex, one at an or-vertex, x at an x-y vertex, none at a sink.
+    """
+
+    names: list[VertexId]
+    adj: list[list[tuple[int, int]]]
+    src: int
+    order: list[int]
+    indeg: list[int]
+    xs: list[int]
+    n: int
+
+
+def _build_index(g: _Graph) -> _Indexed | None:
+    """The index of ``g``, or None when ``g`` breaks a rule of validation.
+
+    Labels are pairs in an ``XYGraph`` and "and"/"or" otherwise.  An order
+    from the source that reaches all n vertices proves acyclicity and
+    reachability at once.
+    """
+    labels, edges, source = g.labels, g.edges, g.source
+    names = sorted(labels)
+    pos = dict(zip(names, range(len(names))))
+    n = len(names)
+    if source not in pos:
+        return None
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    try:
+        for (t, h), w in edges.items():
+            adj[pos[t]].append((pos[h], w))
+            indeg[pos[h]] += 1
+    except KeyError:
+        return None
+    weights = edges.values()
+    if weights and not (plain_ints(weights)
+                        and (0 if g.zero_weights_allowed else 1) <= min(weights)
+                        and max(weights) <= MAX_WEIGHT):
+        return None
+    for lst in adj:
+        lst.sort()
+    src = pos[source]
+    order = [src]
+    deg = indeg[:]
+    for v in order:
+        for h, _w in adj[v]:
+            deg[h] -= 1
+            if deg[h] == 0:
+                order.append(h)
+    if indeg[src] or len(order) != n:
+        return None
+
+    labs = list(map(labels.__getitem__, names))
+    if isinstance(g, XYGraph):
+        cols = xy_columns(labs)
+        if cols is None or any(y != len(lst) or not 0 <= x <= y for x, y, lst in zip(*cols, adj)):
+            return None
+        xs = cols[0]
+    elif andor_labels(labs):
+        xs = [len(lst) if lab == AND else min(len(lst), 1) for lab, lst in zip(labs, adj)]
+    else:
+        return None
+    return _Indexed(names, adj, src, order, indeg, xs, n)
 
 
 def _structural_violations(labels, edges, source, zero_ok) -> list[str]:
@@ -299,7 +384,13 @@ def _structural_violations(labels, edges, source, zero_ok) -> list[str]:
 
 
 def validate_andor(g: AndOrGraph) -> ValidationReport:
-    """Check every and/or graph invariant; never raises on bad structure."""
+    """Check every and/or graph invariant; never raises on bad structure.
+
+    Passing means the graph's index built (and is cached); only a graph
+    that fails runs the checks that name each violation.
+    """
+    if isinstance(g, AndOrGraph) and g.index is not None:
+        return ValidationReport(True)
     out = _structural_violations(g.labels, g.edges, g.source, g.zero_weights_allowed)
     for v, lab in g.labels.items():
         if lab not in (AND, OR):
@@ -308,7 +399,12 @@ def validate_andor(g: AndOrGraph) -> ValidationReport:
 
 
 def validate_xy(g: XYGraph) -> ValidationReport:
-    """Check x-y graph invariants: y matches out-degree, 0 <= x <= y, 0-0 sinks."""
+    """Check x-y graph invariants: y matches out-degree, 0 <= x <= y, 0-0 sinks.
+
+    Passing means the index built, as for ``validate_andor``.
+    """
+    if isinstance(g, XYGraph) and g.index is not None:
+        return ValidationReport(True)
     out = _structural_violations(g.labels, g.edges, g.source, g.zero_weights_allowed)
     outdeg: dict[VertexId, int] = {v: 0 for v in g.labels}
     for (t, h) in g.edges:
@@ -348,6 +444,15 @@ def require_valid_xy(g: XYGraph) -> None:
         raise InvalidGraphError("; ".join(rep.violations))
 
 
+def _index(g: AndOrGraph | XYGraph, kind: type[_Graph]) -> _Indexed:
+    """The index of ``g`` as a valid ``kind`` graph; else raise validation's report."""
+    idx = g.index if isinstance(g, kind) else None
+    if idx is None:
+        rep = validate_xy(g) if kind is XYGraph else validate_andor(g)
+        raise InvalidGraphError("; ".join(rep.violations) or f"expected an {kind.__name__}")
+    return idx
+
+
 def andor_to_xy(g: AndOrGraph) -> XYGraph:
     """Rewrite and/or labels as x-y pairs over the same vertices and edges.
 
@@ -355,16 +460,8 @@ def andor_to_xy(g: AndOrGraph) -> XYGraph:
     or-vertex of out-degree d becomes 1-d.  Feasibility of any edge set is
     preserved exactly.
     """
-    require_valid_andor(g)
-    labels: dict[VertexId, tuple[int, int]] = {}
-    for v, lab in g.labels.items():
-        d = len(g.out_adj[v])
-        if d == 0:
-            labels[v] = (0, 0)
-        elif lab == AND:
-            labels[v] = (d, d)
-        else:
-            labels[v] = (1, d)
+    idx = _index(g, AndOrGraph)
+    labels = {v: (x, len(lst)) for v, x, lst in zip(idx.names, idx.xs, idx.adj)}
     return XYGraph(labels, dict(g.edges), g.source, g.zero_weights_allowed)
 
 
@@ -515,19 +612,17 @@ def _unreached(source, vs, h: SolutionSubgraph) -> list[str]:
 
 def is_xy_tree(g: XYGraph) -> bool:
     """True when the graph is an out-tree: every non-source vertex has in-degree 1."""
-    require_valid_xy(g)
-    return _is_out_tree(g)
+    return _is_out_tree(_index(g, XYGraph))
 
 
 def is_andor_tree(g: AndOrGraph) -> bool:
     """True when the and/or graph is an out-tree rooted at the source."""
-    require_valid_andor(g)
-    return _is_out_tree(g)
+    return _is_out_tree(_index(g, AndOrGraph))
 
 
-def _is_out_tree(g: AndOrGraph | XYGraph) -> bool:
-    """The out-tree test on a graph already known to be valid."""
-    return all(d == 1 for v, d in g.in_degrees.items() if v != g.source)
+def _is_out_tree(idx: _Indexed) -> bool:
+    """Every vertex but the source has in-degree 1; the source of a valid index has 0."""
+    return idx.indeg.count(1) == idx.n - 1
 
 
 def is_in_family_F(g: AndOrGraph) -> bool:
@@ -537,21 +632,13 @@ def is_in_family_F(g: AndOrGraph) -> bool:
     and every vertex with in-degree above 1 to be a sink or have a sink
     among its out-neighbors.
     """
-    require_valid_andor(g)
-    return _in_family_F(g)
-
-
-def _in_family_F(g: AndOrGraph) -> bool:
-    """The family-F test on an and/or graph already known to be valid."""
-    if any(w != 1 for w in g.edges.values()):
-        return False
-    for v, lab in g.labels.items():
-        if lab == OR and len(g.out_adj[v]) > 2:
+    idx = _index(g, AndOrGraph)
+    adj = idx.adj
+    for lst, x, d in zip(adj, idx.xs, idx.indeg):
+        if any(w != 1 for _h, w in lst):
             return False
-    for v, d in g.in_degrees.items():
-        if d <= 1:
-            continue
-        adj = g.out_adj[v]
-        if adj and not any(not g.out_adj[head] for head, _w in adj):
+        if x == 1 and len(lst) > 2:  # only an or-vertex demands 1 of 2 or more
+            return False
+        if d > 1 and lst and all(adj[h] for h, _w in lst):
             return False
     return True

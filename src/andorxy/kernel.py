@@ -21,7 +21,7 @@ from .graphs import (
     VertexId,
     require_valid_andor,
 )
-from .solvers import solve_exact_andor
+from .solvers import decide_min_andor
 
 # rules 1, 3, 4 remove vertices; rules 2, 5, 6 act on edges
 _VERTEX_RULES = frozenset({1, 3, 4})
@@ -244,9 +244,9 @@ def decide_kernel(kr: KernelResult) -> bool:
     """Decide weight ≤ k on the reduced instance.
 
     Forbidden-weight edges need no special casing: taking one immediately
-    exceeds the budget, so the exact optimum tells the truth either way.
-    The empty outcome is a "no" by construction.
+    exceeds the budget, so the decision tells the truth either way.  The
+    empty outcome is a "no" by construction.
     """
     if kr.reduced is None:
         return False
-    return solve_exact_andor(kr.reduced).optimum <= kr.k
+    return decide_min_andor(kr.reduced, kr.k)

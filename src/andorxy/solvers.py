@@ -22,18 +22,15 @@ from typing import NamedTuple
 
 from .graphs import (
     MAX_SUM,
-    MAX_WEIGHT,
-    AND,
-    OR,
     AndOrGraph,
     BudgetExceededError,
     InvalidGraphError,
     SolutionSubgraph,
     VertexId,
     XYGraph,
-    int_weights,
-    validate_andor,
-    validate_xy,
+    _index,
+    _Indexed,
+    _is_out_tree,
 )
 
 
@@ -62,106 +59,14 @@ def _check_sum(s: int) -> int:
     return s
 
 
-class _Indexed:
-    """Integer-indexed view of a graph, topologically ordered from the source."""
-
-    __slots__ = ("names", "pos", "adj", "src", "order", "indeg", "n")
-
-    def __init__(self, names, pos, adj, src, order, indeg):
-        self.names = names
-        self.pos = pos
-        self.adj = adj
-        self.src = src
-        self.order = order
-        self.indeg = indeg
-        self.n = len(names)
-
-
-def _index(g: AndOrGraph | XYGraph) -> _Indexed:
-    """Build the indexed view; reject invalid graphs with a full report.
-
-    Adjacency lists are sorted by head index, which equals lexicographic
-    order of head ids, so "first minimum" scans honor the tie-break rule.
-    """
-    labels, edges, source = g.labels, g.edges, g.source
-    names = sorted(labels)
-    pos = {v: i for i, v in enumerate(names)}
-    n = len(names)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    ok = source in pos
-    if ok:
-        try:
-            for (t, h), w in edges.items():
-                adj[pos[t]].append((pos[h], w))
-                indeg[pos[h]] += 1
-        except KeyError:
-            ok = False
-    if ok and edges:
-        ok = int_weights(edges.values()) and (
-            (0 if g.zero_weights_allowed else 1) <= min(edges.values())
-            and max(edges.values()) <= MAX_WEIGHT)
-    if ok:
-        for lst in adj:
-            lst.sort()
-        src = pos[source]
-        if indeg[src] != 0:
-            ok = False
-    if ok:
-        order = [src]
-        deg = indeg[:]
-        i = 0
-        while i < len(order):
-            for h, _w in adj[order[i]]:
-                deg[h] -= 1
-                if deg[h] == 0:
-                    order.append(h)
-            i += 1
-        if len(order) != n:
-            ok = False
-    if not ok:
-        rep = validate_xy(g) if isinstance(g, XYGraph) else validate_andor(g)
-        raise InvalidGraphError("; ".join(rep.violations) or "invalid graph")
-    return _Indexed(names, pos, adj, src, order, indeg)
-
-
-def _require_tree(idx: _Indexed) -> None:
-    for v in range(idx.n):
-        if v != idx.src and idx.indeg[v] != 1:
-            raise InvalidGraphError(
-                f"not an out-tree: vertex {idx.names[v]} has in-degree {idx.indeg[v]}"
-            )
-
-
-def _xy_demands(g: XYGraph, idx: _Indexed) -> list[int]:
-    """Per-vertex x values, cross-checked against actual out-degrees."""
-    xs = [0] * idx.n
-    try:
-        for v in range(idx.n):
-            x, y = g.labels[idx.names[v]]  # TypeError or ValueError: no pair of numbers
-            if y != len(idx.adj[v]) or not 0 <= x <= y:
-                raise ValueError
-            xs[v] = x
-        return xs
-    except (TypeError, ValueError):
-        rep = validate_xy(g)
-        raise InvalidGraphError("; ".join(rep.violations) or "bad x-y labels") from None
-
-
-def _andor_demands(g: AndOrGraph, idx: _Indexed) -> list[int]:
-    """And/or labels as demands: sinks 0, and-vertices full degree, or-vertices 1."""
-    labels = g.labels
-    if not set(labels.values()) <= {AND, OR}:
-        rep = validate_andor(g)
-        raise InvalidGraphError("; ".join(rep.violations) or "bad vertex labels")
-    xs = [0] * idx.n
-    names = idx.names
-    adj = idx.adj
-    for v in range(idx.n):
-        d = len(adj[v])
-        if d:
-            xs[v] = d if labels[names[v]] == AND else 1
-    return xs
+def _tree_index(g: AndOrGraph | XYGraph, kind: type) -> _Indexed:
+    """The index of ``g``, which must be a valid out-tree of class ``kind``."""
+    idx = _index(g, kind)
+    if not _is_out_tree(idx):
+        v = next(v for v, d in enumerate(idx.indeg) if d != 1 and v != idx.src)
+        msg = f"not an out-tree: vertex {idx.names[v]} has in-degree {idx.indeg[v]}"
+        raise InvalidGraphError(msg)
+    return idx
 
 
 def _witness(idx: _Indexed, pairs) -> SolutionSubgraph:
@@ -169,8 +74,8 @@ def _witness(idx: _Indexed, pairs) -> SolutionSubgraph:
     return SolutionSubgraph(frozenset((names[t], names[h]) for t, h in pairs))
 
 
-# trees at or above this size take the vectorized path; kept as a module
-# global so tests can force either implementation and compare them
+# trees this large that carry no index yet take the vectorized path; a
+# module global, so tests can force either implementation and compare them
 _FAST_MIN_N = 4096
 
 
@@ -190,8 +95,8 @@ def _solve_tree_fast(g: AndOrGraph | XYGraph, xy: bool) -> SolveResult | None:
     return SolveResult(optimum, SolutionSubgraph(pairs), nodes=core.n)
 
 
-def _sharing_blind(idx: _Indexed, xs: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """The additive recurrence with demands ``xs``, and the edges it picks.
+def _sharing_blind(idx: _Indexed) -> tuple[int, list[tuple[int, int]]]:
+    """The additive recurrence over the index's demands, and the edges it picks.
 
     Bottom-up, each vertex takes its x cheapest options (edge weight plus
     the cost below the head), ties going to the smaller head id.  On a DAG
@@ -199,7 +104,7 @@ def _sharing_blind(idx: _Indexed, xs: list[int]) -> tuple[int, list[tuple[int, i
     edges are then collected once each, so the returned weight is their
     true weight, exact on trees and an upper bound elsewhere.
     """
-    adj = idx.adj
+    adj, xs = idx.adj, idx.xs
     c = [0] * idx.n
     pick: list = [()] * idx.n  # the chosen (head, weight) out-edges of each vertex
     nsmallest = heapq.nsmallest
@@ -247,14 +152,13 @@ def _sharing_blind(idx: _Indexed, xs: list[int]) -> tuple[int, list[tuple[int, i
 
 
 def _solve_tree(g: AndOrGraph | XYGraph, xy: bool) -> SolveResult:
-    if len(g.labels) >= _FAST_MIN_N:
+    # an indexed graph solves on its index: cheaper than arrays, and no numpy
+    if len(g.labels) >= _FAST_MIN_N and "index" not in vars(g):
         res = _solve_tree_fast(g, xy)
         if res is not None:
             return res
-    idx = _index(g)
-    xs = _xy_demands(g, idx) if xy else _andor_demands(g, idx)
-    _require_tree(idx)
-    weight, pairs = _sharing_blind(idx, xs)
+    idx = _tree_index(g, XYGraph if xy else AndOrGraph)
+    weight, pairs = _sharing_blind(idx)
     return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
 
 
@@ -278,7 +182,7 @@ def solve_xy_tree(g: XYGraph) -> SolveResult:
     return _solve_tree(g, xy=True)
 
 
-def _schedule(idx: _Indexed, xs: list[int]) -> list[int]:
+def _schedule(idx: _Indexed) -> list[int]:
     """Completion-time lower bound: the x-th smallest option per vertex.
 
     Any solution through v takes some x out-edges, so it pays at least the
@@ -286,7 +190,7 @@ def _schedule(idx: _Indexed, xs: list[int]) -> list[int]:
     single chain.  That is the max at and-vertices and the min at
     or-vertices.
     """
-    adj = idx.adj
+    adj, xs = idx.adj, idx.xs
     t = [0] * idx.n
     for v in reversed(idx.order):
         x = xs[v]
@@ -309,8 +213,8 @@ def schedule_lower_bound(g: AndOrGraph) -> ScheduleResult:
     times[source] never exceeds the optimum solution weight, because any
     feasible solution pays for at least one full chain the recurrence counts.
     """
-    idx = _index(g)
-    t = _schedule(idx, _andor_demands(g, idx))
+    idx = _index(g, AndOrGraph)
+    t = _schedule(idx)
     names = idx.names
     return ScheduleResult({names[i]: t[i] for i in range(idx.n)})
 
@@ -322,15 +226,15 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
     returned optimum is the true weight of the materialized witness (shared
     edges counted once), which upper-bounds the exact optimum.
     """
-    idx = _index(g)
-    weight, pairs = _sharing_blind(idx, _andor_demands(g, idx))
+    idx = _index(g, AndOrGraph)
+    weight, pairs = _sharing_blind(idx)
     return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
 
 
 _OP_EDGE, _OP_VERT, _OP_PEND, _OP_UNPEND = 0, 1, 2, 3
 
 
-def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveResult:
+def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) -> SolveResult:
     """Branch-and-bound over choice-vertex decisions.
 
     A partial state commits edges forced by fully-determined vertices and
@@ -339,8 +243,11 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
     pairwise distinct and not yet committed, so the bound never overshoots
     a completion.  Correctness does not depend on how sharp the bound is.
     No memoization: shared substructure makes subproblem costs non-additive.
+
+    With ``cap`` the result only decides whether some solution is lighter
+    than ``cap``: its weight is below ``cap`` exactly when one is.
     """
-    adj = idx.adj
+    adj, xs = idx.adj, idx.xs
     n = idx.n
     offs = [0] * (n + 1)
     for v in range(n):
@@ -356,15 +263,16 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
             ew[base + j] = w
             etail[base + j] = v
 
-    tsch = _schedule(idx, xs)
+    tsch = _schedule(idx)
     minw = [0] * n
     for v in range(n):
         x = xs[v]
         if x:
             minw[v] = sum(sorted(w for _h, w in adj[v])[:x])
 
-    ub_w, ub_pairs = _sharing_blind(idx, xs)
-    if tsch[idx.src] == ub_w:
+    ub_w, ub_pairs = _sharing_blind(idx)
+    bar = ub_w if cap is None else cap  # only solutions lighter than bar matter
+    if not tsch[idx.src] < bar <= ub_w:
         return SolveResult(ub_w, _witness(idx, ub_pairs), nodes=1)
 
     deadline = None
@@ -378,7 +286,7 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
     pending: set[int] = set()
     trail: list[tuple[int, int]] = []
     state = [0, 0]  # committed weight, sum of pending floors
-    best = [ub_w, ub_pairs]  # weight, (tail, head) index pairs
+    best = [bar, ub_pairs]  # weight to beat, (tail, head) index pairs
     counters = [0, 0]  # nodes, prunes
 
     def include(v0: int) -> None:
@@ -472,7 +380,8 @@ def _exact_min(idx: _Indexed, xs: list[int], budget_s: float | None) -> SolveRes
 
     include(idx.src)
     search()
-    return SolveResult(best[0], _witness(idx, best[1]), nodes=counters[0], prunes=counters[1])
+    weight = ub_w if best[1] is ub_pairs else best[0]
+    return SolveResult(weight, _witness(idx, best[1]), nodes=counters[0], prunes=counters[1])
 
 
 def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResult:
@@ -483,19 +392,22 @@ def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResu
     ``budget_s`` caps wall-clock time; exceeding it raises, never returns a
     wrong value.
     """
-    idx = _index(g)
-    return _exact_min(idx, _andor_demands(g, idx), budget_s)
+    return _exact_min(_index(g, AndOrGraph), budget_s)
 
 
 def solve_exact_xy(g: XYGraph, budget_s: float | None = None) -> SolveResult:
     """Exact minimum for an x-y DAG; branches over x-subsets at choice vertices."""
-    idx = _index(g)
-    return _exact_min(idx, _xy_demands(g, idx), budget_s)
+    return _exact_min(_index(g, XYGraph), budget_s)
 
 
 def decide_min_andor(g: AndOrGraph, k: int) -> bool:
-    """True when some feasible solution has weight at most k."""
-    return solve_exact_andor(g).optimum <= k
+    """True when some feasible solution has weight at most k.
+
+    YES when the sharing-blind witness weighs at most k, NO when the
+    completion-time bound exceeds k; otherwise a search that starts with
+    k + 1 as the weight to beat, pruning every partial solution above k.
+    """
+    return _exact_min(_index(g, AndOrGraph), None, cap=k + 1).optimum <= k
 
 
 def _bit_positions(m: int) -> list[int]:
@@ -520,15 +432,13 @@ def decide_exact_weight_xy_tree(g: XYGraph, k: int):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    idx = _index(g)
-    xs = _xy_demands(g, idx)
-    _require_tree(idx)
+    idx = _tree_index(g, XYGraph)
     if any(w == 0 for w in g.edges.values()):
         raise InvalidGraphError("exact-weight decision requires positive edge weights")
     if k > g.total_weight():
         return False, None  # no solution outweighs the whole graph; the mask below grows with k
 
-    adj = idx.adj
+    adj, xs = idx.adj, idx.xs
     n = idx.n
     capmask = (1 << (k + 1)) - 1
     reach = [0] * n

@@ -6,14 +6,13 @@ and depths.  It checks everything the tree solvers require, and caches
 the core on the graph object, so a second solve of the same object and
 ``verify_solution_*`` use the arrays instead of indexing the graph again.
 This is the only module that imports numpy; the solvers import it only
-for trees at or above their vectorized switch.
+for trees at or above their vectorized switch that carry no scalar index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import NoReturn
 
 import numpy as np
@@ -22,17 +21,18 @@ from .graphs import (
     AND,
     MAX_SUM,
     MAX_WEIGHT,
-    OR,
     TREE_CORE,
     AndOrGraph,
     Edge,
     InvalidGraphError,
     VertexId,
     XYGraph,
+    andor_labels,
     cached_tree_core,
-    int_weights,
+    plain_ints,
+    xy_columns,
 )
-from .solvers import _andor_demands, _index, _require_tree, _xy_demands
+from .solvers import _tree_index
 
 
 @dataclass(eq=False, slots=True)
@@ -100,9 +100,7 @@ class TreeCore:
 
 def _reject(g: AndOrGraph | XYGraph, xy: bool) -> NoReturn:
     """Raise the error the scalar path raises for a graph that is no valid tree."""
-    idx = _index(g)
-    (_xy_demands if xy else _andor_demands)(g, idx)
-    _require_tree(idx)
+    _tree_index(g, XYGraph if xy else AndOrGraph)
     raise InvalidGraphError("invalid graph")
 
 
@@ -121,7 +119,8 @@ def index_tree(g: AndOrGraph | XYGraph, xy: bool) -> TreeCore:
     m = len(edges)
     names = sorted(labels)
     pos = dict(zip(names, range(n)))
-    if source not in pos or m != n - 1 or not int_weights(edges.values()):
+    if (not isinstance(g, XYGraph if xy else AndOrGraph) or source not in pos
+            or m != n - 1 or not plain_ints(edges.values())):
         _reject(g, xy)
     try:
         ends = np.fromiter(map(pos.__getitem__, chain.from_iterable(edges)),
@@ -154,20 +153,23 @@ def index_tree(g: AndOrGraph | XYGraph, xy: bool) -> TreeCore:
     inedge = np.full(n, -1, dtype=np.int64)
     inedge[heads] = np.arange(m, dtype=np.int64)
 
+    # generators and parse_graph insert vertices in id order, which needs no lookups
+    labs = list(labels.values()) if names == list(labels) else list(map(labels.__getitem__, names))
     if xy:
+        cols = xy_columns(labs)
+        if cols is None:
+            _reject(g, xy)
         try:
-            labs = list(map(labels.__getitem__, names))
-            demands = np.fromiter(map(itemgetter(0), labs), np.int64, count=n)
-            ys = np.fromiter(map(itemgetter(1), labs), np.int64, count=n)
-        except (TypeError, IndexError, OverflowError, ValueError):
+            demands, ys = (np.fromiter(c, np.int64, count=n) for c in cols)
+        except OverflowError:
             _reject(g, xy)
         if (not np.array_equal(ys, outdeg) or bool((demands < 0).any())
                 or bool((demands > ys).any())):
             _reject(g, xy)
     else:
-        if not set(labels.values()) <= {AND, OR}:
+        if not andor_labels(labs):
             _reject(g, xy)
-        is_and = np.fromiter(map(AND.__eq__, map(labels.__getitem__, names)), bool, count=n)
+        is_and = np.fromiter(map(AND.__eq__, labs), bool, count=n)
         demands = np.where(is_and, outdeg, np.minimum(outdeg, np.int64(1)))
 
     # every vertex but the source has one parent; depths by pointer

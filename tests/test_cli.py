@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from andorxy import parse_graph, validate_andor, validate_xy, XYGraph
+from andorxy import (
+    parse_graph, parse_solution, solve_andor_tree, solve_xy_tree, validate_andor, validate_xy,
+    XYGraph,
+)
 from andorxy import cli, graphs, textio
 from andorxy.cli import main
 
@@ -482,7 +485,8 @@ def test_help_exits_zero(run):
 
 
 # A child process lists the modules its program adds to those a bare
-# interpreter has once ``site`` has run; ``argv`` holds the file names.
+# interpreter has once ``site`` has run; ``argv`` holds the file names and
+# the directory they are in.
 _STARTUP_CHILD = (
     "import sys\n"
     "before = set(sys.modules)\n"
@@ -503,7 +507,16 @@ _SKIPPED_BY_CHECKS = {"andorxy.solvers", "andorxy.kernel", "andorxy.reductions",
      "assert main(['verify', argv[0], argv[1]]) == 0",
      {"andorxy", "andorxy.cli", "andorxy.graphs", "andorxy.textio"},
      {"numpy", "dataclasses"} | _SKIPPED_BY_CHECKS),
-], ids=["import-package", "import-cli", "validate-verify"])
+    # trees above the vectorized switch solve on the index parse_graph built
+    ("from andorxy.cli import main\n"
+     "for kind, method in (('andor-tree', 'tree'), ('xy-tree', 'xytree')):\n"
+     "    path = argv[2] + '/' + kind\n"
+     "    assert main(['gen', kind, '--n', '5000', '--seed', '3', '-o', path]) == 0\n"
+     "    assert main(['solve', path, '--method', method, '-o', path + '.w']) == 0",
+     {"andorxy", "andorxy.cli", "andorxy.graphs", "andorxy.textio", "andorxy.generators",
+      "andorxy.solvers"},
+     {"numpy", "andorxy.treecore"}),
+], ids=["import-package", "import-cli", "validate-verify", "solve-large-trees"])
 def test_startup_loads_only_what_the_command_runs(tmp_path, program, expect_andorxy, never):
     graph, solution = tmp_path / "g.txt", tmp_path / "h.txt"
     graph.write_text(XY_TREE)
@@ -512,7 +525,8 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, program, expect_ando
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CHILD.format(program), str(graph), str(solution)],
+        [sys.executable, "-c", _STARTUP_CHILD.format(program), str(graph), str(solution),
+         str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
     loaded = set(out.splitlines()[-1].split()[1:])
     if never is None:  # nothing at all beyond the expected modules
@@ -520,3 +534,10 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, program, expect_ando
     else:
         assert {m for m in loaded if m.split(".")[0] == "andorxy"} == expect_andorxy
         assert not loaded & never
+    # a witness the child wrote equals the vectorized path's on a new object
+    for path in sorted(tmp_path.glob("*-tree")):
+        g = parse_graph(path.read_text())
+        new = type(g)(g.labels, g.edges, g.source, g.zero_weights_allowed)
+        res = (solve_xy_tree if isinstance(g, XYGraph) else solve_andor_tree)(new)
+        assert "tree_core" in vars(new)
+        assert parse_solution(Path(f"{path}.w").read_text()) == res.witness

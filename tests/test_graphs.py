@@ -8,6 +8,7 @@ import pytest
 import oracles
 from andorxy import (
     AND,
+    MAX_WEIGHT,
     OR,
     AndOrGraph,
     FGraph,
@@ -15,17 +16,29 @@ from andorxy import (
     SolutionSubgraph,
     XYGraph,
     andor_to_xy,
+    decide_exact_weight_xy_tree,
+    decide_kernel,
+    decide_min_andor,
+    dp_upper_bound,
     fgraph_to_andor,
     is_andor_tree,
     is_in_family_F,
     is_xy_tree,
+    kernelize,
+    parse_graph,
+    schedule_lower_bound,
+    serialize_graph,
+    solve_andor_tree,
+    solve_exact_andor,
+    solve_exact_xy,
+    solve_xy_tree,
     validate_andor,
     validate_xy,
     verify_solution_andor,
     verify_solution_xy,
 )
-from andorxy import solvers
-from andorxy.generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy_tree
+from andorxy import graphs, solvers
+from andorxy.generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy, gen_xy_tree
 
 
 def aog(labels, edges, source="s", zero=False):
@@ -34,6 +47,11 @@ def aog(labels, edges, source="s", zero=False):
 
 def sol(*edges):
     return SolutionSubgraph(frozenset(edges))
+
+
+def fresh(g):
+    """A new object over the same dicts, carrying no cached index."""
+    return type(g)(g.labels, g.edges, g.source, g.zero_weights_allowed)
 
 
 # ------------------------------------------------------------ validate_andor
@@ -136,6 +154,88 @@ def test_validate_xy_label_shape():
 
 
 # -------------------------------------------------------------- andor_to_xy
+
+# ------------------------------------------------------ one index per graph
+
+def _corpus():
+    """Generated graphs of both kinds, and corruptions of each that break one rule."""
+    valid = []
+    for seed in range(10):
+        cfg = GeneratorConfig(n=2 + seed % 9, seed=seed, density=0.4)
+        valid += [gen_andor(cfg), gen_xy(cfg), gen_andor_tree(cfg), gen_xy_tree(cfg)]
+    out = list(valid)
+    for g in valid:
+        kind, labels, edges, s = type(g), g.labels, g.edges, g.source
+        xy = kind is XYGraph
+        last = max(labels)  # not the source, which sorts first
+        sink = (0, 0) if xy else OR
+        out += [
+            kind(labels, {**edges, (last, s): 1}, s),  # cycle through the source
+            kind(labels, {**edges, (last, last): 1}, s),
+            kind(labels, {**edges, (s, "ghost"): 1}, s),
+            kind(labels, edges, "nowhere"),
+            kind({**labels, "zz": sink}, edges, s),  # unreachable
+            kind({**labels, "zz": sink}, {**edges, ("zz", last): 1}, s),  # a second root
+        ]
+        first = min(edges)
+        out += [kind(labels, {**edges, first: w}, s)
+                for w in (0, -1, 2.5, True, "3", MAX_WEIGHT + 1)]
+        out.append(kind(labels, {**edges, first: 0}, s, True))  # valid with zero weights
+        if xy:
+            x, y = labels[s]
+            bad = [(True, y), (float(x), y), [x, y], (x, y, 0), 5, "ab", AND, (y + 1, y),
+                   (x, y + 1), (-1, y)]
+            out.append(kind({**labels, last: (1, 1)}, edges, s))  # a sink labelled 1-1
+        else:
+            bad = ["xor", ["and"], None, (1, 1), "AND"]
+        out += [kind({**labels, s: lab}, edges, s) for lab in bad]
+    return out
+
+
+def test_index_builds_exactly_when_validation_reports_ok(monkeypatch):
+    oks = 0
+    for g in _corpus():
+        xy = isinstance(g, XYGraph)
+        validate = validate_xy if xy else validate_andor
+        with monkeypatch.context() as m:  # the checks that name each violation, alone
+            m.setattr(graphs, "_build_index", lambda g: None)
+            report = validate(fresh(g))
+        assert (graphs._build_index(g) is not None) == report.ok, report
+        assert validate(g) == report
+        oks += report.ok
+        if not report.ok:
+            for solve in ((solve_exact_xy, is_xy_tree) if xy else (solve_exact_andor, is_in_family_F)):
+                with pytest.raises(InvalidGraphError) as exc:
+                    solve(fresh(g))
+                assert str(exc.value) == "; ".join(report.violations)
+    assert oks == 80  # the 40 generated graphs and their 40 zero-weight variants
+
+
+def test_each_graph_is_indexed_once_and_never_checked_by_name(monkeypatch):
+    builds, named = [], []
+    real = graphs._build_index
+    monkeypatch.setattr(graphs, "_build_index", lambda g: builds.append(g) or real(g))
+    monkeypatch.setattr(graphs, "_structural_violations", lambda *a: named.append(a) or [])
+    cfg = GeneratorConfig(n=14, seed=7, density=0.4)
+    andor, xy, tree, xtree = (parse_graph(serialize_graph(make(cfg)))
+                              for make in (gen_andor, gen_xy, gen_andor_tree, gen_xy_tree))
+    solve_exact_andor(andor)
+    dp_upper_bound(andor)
+    schedule_lower_bound(andor)
+    is_in_family_F(andor)
+    is_andor_tree(andor)
+    andor_to_xy(andor)
+    decide_min_andor(andor, 10)
+    kr = kernelize(andor, dp_upper_bound(andor).optimum)
+    decide_kernel(kr)
+    solve_exact_xy(xy)
+    is_xy_tree(xy)
+    solve_andor_tree(tree)
+    solve_xy_tree(xtree)
+    decide_exact_weight_xy_tree(xtree, 5)
+    assert named == []
+    assert sorted(map(id, builds)) == sorted(map(id, (andor, xy, tree, xtree, kr.reduced)))
+
 
 def test_andor_to_xy_label_rules():
     g = aog(

@@ -20,13 +20,16 @@ from andorxy import (
     XYGraph,
     andor_to_xy,
     decide_exact_weight_xy_tree,
+    decide_kernel,
     decide_min_andor,
     dp_upper_bound,
+    kernelize,
     schedule_lower_bound,
     solve_andor_tree,
     solve_exact_andor,
     solve_exact_xy,
     solve_xy_tree,
+    validate_andor,
     verify_solution_andor,
     verify_solution_xy,
 )
@@ -46,6 +49,11 @@ def aog(labels, edges, source="s", zero=False):
 
 def xyg(labels, edges, source="s", zero=False):
     return XYGraph(dict(labels), dict(edges), source, zero)
+
+
+def fresh(g):
+    """A new object over the same dicts, carrying no cached index."""
+    return type(g)(g.labels, g.edges, g.source, g.zero_weights_allowed)
 
 
 def check_witness_andor(g, res):
@@ -174,6 +182,12 @@ INVALID_TREES = [
     (solve_xy_tree, xyg({"s": (2, 3), "a": (1, 1), "b": (1, 1), "t": (0, 0)}, DIAMOND),
      "y mismatch at s"),
     (solve_xy_tree, xyg({"s": 5, "a": (0, 0)}, {("s", "a"): 1}), "expected an \\(x, y\\) pair"),
+    (solve_andor_tree, aog({"s": ["and"], "a": OR}, {("s", "a"): 1}),
+     "vertex s has label \\['and'\\], expected 'and' or 'or'"),
+] + [
+    (solve_xy_tree, xyg({"s": lab, "a": (0, 0)}, {("s", "a"): 1}),
+     f"vertex s has label \\({x}, 1\\), expected an \\(x, y\\) pair")
+    for lab, x in (((True, 1), "True"), ((1.0, 1), "1.0"))
 ] + [
     (fn, make({"s": lab, "a": sink}, {("s", "a"): w}), "non-integer weight")
     for w in (2.5, True, "3")
@@ -184,7 +198,7 @@ INVALID_TREES = [
 def test_tree_solvers_reject_invalid_graphs():
     for fn, g, match in INVALID_TREES:
         with pytest.raises(InvalidGraphError, match=match):
-            fn(g)
+            fn(fresh(g))
 
 
 # ------------------------------------------- vectorized vs scalar tree path
@@ -205,9 +219,24 @@ def test_fast_path_matches_scalar(monkeypatch):
     ]
     force_fast(monkeypatch)
     for (kind, g), ref in zip(cases, scalar):
-        res = solve_andor_tree(g) if kind == "a" else solve_xy_tree(g)
+        # the scalar solve cached an index on g, which would keep g on the
+        # scalar path; a new object takes the vectorized one
+        f = fresh(g)
+        res = solve_andor_tree(f) if kind == "a" else solve_xy_tree(f)
+        assert "tree_core" in vars(f) and "index" not in vars(f)
         assert res.optimum == ref.optimum
         assert res.witness.edges == ref.witness.edges
+
+
+def test_indexed_graph_solves_on_its_index(monkeypatch):
+    force_fast(monkeypatch)
+    for g in (gen_andor_tree(GeneratorConfig(n=50, seed=4)),
+              gen_xy_tree(GeneratorConfig(n=50, seed=4))):
+        assert g.index is not None  # as parse_graph or validate_* leave it
+        solve = solve_xy_tree if isinstance(g, XYGraph) else solve_andor_tree
+        res = solve(g)
+        assert "tree_core" not in vars(g)
+        assert res == solve(fresh(g))
 
 
 def test_fast_path_declines_deep_chains_but_still_answers(monkeypatch):
@@ -227,9 +256,9 @@ def _raised(fn, g):
 
 
 def test_fast_path_error_parity(monkeypatch):
-    scalar = [_raised(fn, g) for fn, g, _match in INVALID_TREES]
+    scalar = [_raised(fn, fresh(g)) for fn, g, _match in INVALID_TREES]
     force_fast(monkeypatch)
-    assert [_raised(fn, g) for fn, g, _match in INVALID_TREES] == scalar
+    assert [_raised(fn, fresh(g)) for fn, g, _match in INVALID_TREES] == scalar
 
 
 def test_detached_cycle_error_parity(monkeypatch):
@@ -240,10 +269,10 @@ def test_detached_cycle_error_parity(monkeypatch):
         (solve_andor_tree, aog({"s": AND, "a": OR, "b": OR, "c": OR}, edges)),
         (solve_xy_tree, xyg({"s": (1, 1), "a": (0, 0), "b": (1, 1), "c": (1, 1)}, edges)),
     ]
-    scalar = [_raised(fn, g) for fn, g in cases]
+    scalar = [_raised(fn, fresh(g)) for fn, g in cases]
     assert all("cycle: b -> c -> b" in msg and "unreachable: b" in msg for msg in scalar)
     force_fast(monkeypatch)
-    assert [_raised(fn, g) for fn, g in cases] == scalar
+    assert [_raised(fn, fresh(g)) for fn, g in cases] == scalar
 
 
 def test_fast_path_caches_index_on_the_graph(monkeypatch):
@@ -445,6 +474,11 @@ def test_exact_rejects_invalid():
             solve_exact_andor(aog({"s": AND, "a": OR}, {("s", "a"): w}))
         with pytest.raises(InvalidGraphError, match="non-integer weight"):
             solve_exact_xy(xyg({"s": (1, 1), "a": (0, 0)}, {("s", "a"): w}))
+    with pytest.raises(InvalidGraphError, match="label \\['and'\\], expected 'and' or 'or'"):
+        solve_exact_andor(aog({"s": ["and"], "a": OR}, {("s", "a"): 1}))
+    for lab in ((True, 1), (1.0, 1)):
+        with pytest.raises(InvalidGraphError, match="expected an \\(x, y\\) pair"):
+            solve_exact_xy(xyg({"s": lab, "a": (0, 0)}, {("s", "a"): 1}))
 
 
 @pytest.mark.parametrize("fn", [dp_upper_bound, schedule_lower_bound])
@@ -453,6 +487,19 @@ def test_bounds_reject_what_validation_rejects(fn):
         fn(aog({"s": "xor", "a": OR}, {("s", "a"): 2}))
     with pytest.raises(InvalidGraphError, match="non-integer weight"):
         fn(aog({"s": AND, "a": OR}, {("s", "a"): 2.5}))
+    with pytest.raises(InvalidGraphError, match="label \\['and'\\], expected 'and' or 'or'"):
+        fn(aog({"s": ["and"], "a": OR}, {("s", "a"): 1}))
+
+
+@pytest.mark.parametrize("fn", [solve_exact_andor, solve_andor_tree, dp_upper_bound,
+                                schedule_lower_bound, decide_min_andor])
+def test_andor_entry_points_raise_the_andor_report_on_xy_graphs(fn):
+    x = xyg({"s": (1, 1), "a": (0, 0)}, {("s", "a"): 1})
+    report = validate_andor(x)
+    assert not report.ok
+    with pytest.raises(InvalidGraphError) as exc:
+        fn(x, 1) if fn is decide_min_andor else fn(x)
+    assert str(exc.value) == "; ".join(report.violations)
 
 
 def _shared_sink_diamond():
@@ -495,6 +542,40 @@ def test_overflow_reported_on_doubling_dag():
         dp_upper_bound(g)
     with pytest.raises(OverflowError):
         solve_exact_andor(g)
+
+
+def test_decisions_use_k(monkeypatch):
+    # decide_min_andor and decide_kernel answer as the optimum does, and
+    # their searches, pruned at k, never visit more nodes than a full solve
+    nodes = []
+    real = solvers._exact_min
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(solvers, "_exact_min", counted)
+    rng = Random(303)
+    fewer = 0
+    for trial in range(300):
+        g = gen_andor(GeneratorConfig(n=rng.randint(2, 14), seed=9000 + trial,
+                                      density=rng.uniform(0.2, 0.6),
+                                      and_fraction=rng.random()))
+        full = solve_exact_andor(g)
+        for k in (full.optimum - 1, full.optimum, full.optimum + 1):
+            nodes.clear()
+            assert decide_min_andor(g, k) == (full.optimum <= k)
+            assert len(nodes) == 1 and nodes[0] <= full.nodes
+            fewer += nodes[0] < full.nodes
+            if k < 0:
+                continue
+            kr = kernelize(g, k)
+            nodes.clear()
+            assert decide_kernel(kr) == (full.optimum <= k)
+            if kr.reduced is not None:
+                assert nodes[0] <= solve_exact_andor(kr.reduced).nodes
+    assert fewer > 0  # k cut some searches short
 
 
 def test_decide_min_andor_thresholds():
@@ -558,6 +639,9 @@ def test_exact_weight_input_checks():
     diamond = andor_to_xy(_shared_sink_diamond())
     with pytest.raises(InvalidGraphError, match="not an out-tree"):
         decide_exact_weight_xy_tree(diamond, 3)
+    for lab in ((True, 1), (1.0, 1)):
+        with pytest.raises(InvalidGraphError, match="expected an \\(x, y\\) pair"):
+            decide_exact_weight_xy_tree(xyg({"s": lab, "a": (0, 0)}, {("s", "a"): 1}), 1)
 
 
 def test_exact_weight_near_and_above_the_total_weight(monkeypatch):
