@@ -234,6 +234,10 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
 _OP_EDGE, _OP_VERT, _OP_PEND, _OP_UNPEND = 0, 1, 2, 3
 
 
+class _Decided(Exception):
+    """A search with a cap reached a solution lighter than the cap."""
+
+
 def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) -> SolveResult:
     """Branch-and-bound over choice-vertex decisions.
 
@@ -245,7 +249,8 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     No memoization: shared substructure makes subproblem costs non-additive.
 
     With ``cap`` the result only decides whether some solution is lighter
-    than ``cap``: its weight is below ``cap`` exactly when one is.
+    than ``cap``: the search stops at the first such solution, and the
+    result's weight is below ``cap`` exactly when one exists.
     """
     adj, xs = idx.adj, idx.xs
     n = idx.n
@@ -345,6 +350,8 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
         if not pending:
             best[0] = state[0]
             best[1] = [(etail[i], ehead[i]) for i in range(ecount) if in_sol[i]]
+            if cap is not None:
+                raise _Decided
             return
         # fail-first: decide the pending vertex with the costliest cheap completion
         v = -1
@@ -379,7 +386,10 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
             undo(mark)
 
     include(idx.src)
-    search()
+    try:
+        search()
+    except _Decided:
+        pass  # the decision is settled; the trail is not needed any more
     weight = ub_w if best[1] is ub_pairs else best[0]
     return SolveResult(weight, _witness(idx, best[1]), nodes=counters[0], prunes=counters[1])
 
@@ -405,7 +415,8 @@ def decide_min_andor(g: AndOrGraph, k: int) -> bool:
 
     YES when the sharing-blind witness weighs at most k, NO when the
     completion-time bound exceeds k; otherwise a search that starts with
-    k + 1 as the weight to beat, pruning every partial solution above k.
+    k + 1 as the weight to beat, pruning every partial solution above k,
+    and stopping at the first solution of weight at most k.
     """
     return _exact_min(_index(g, AndOrGraph), None, cap=k + 1).optimum <= k
 

@@ -2,11 +2,15 @@
 
 ``index_tree`` turns a graph into a ``TreeCore``: vertex ids in sorted
 order, edges as int64 arrays sorted by (tail, head), per-vertex demands
-and depths.  It checks everything the tree solvers require, and caches
-the core on the graph object, so a second solve of the same object and
+and depths, and the graph's own edge keys with the permutation that sorts
+them.  It checks everything the tree solvers require, and caches the core
+on the graph object, so a second solve of the same object and
 ``verify_solution_*`` use the arrays instead of indexing the graph again.
-This is the only module that imports numpy; the solvers import it only
-for trees at or above their vectorized switch that carry no scalar index.
+``solve_core`` settles one depth layer at a time without sorting, except at
+x-y vertices that take some but not all of their edges, and builds its
+witness from the graph's edge keys.  This is the only module that imports
+numpy; the solvers import it only for trees at or above their vectorized
+switch that carry no scalar index.
 """
 
 from __future__ import annotations
@@ -43,13 +47,16 @@ class TreeCore:
     is the tie-break order.  Edge j runs from ``tails[j]`` to ``heads[j]``
     with weight ``weights[j]``; edges are sorted by (tail, head), the
     out-edges of v are ``offs[v]:offs[v+1]``, and ``inedge[v]`` is the edge
-    into v (-1 at the source).  ``demands[v]`` is how many out-edges a
-    solution through v takes.
+    into v (-1 at the source).  ``keys`` are the graph's edge keys in its
+    dict order, and edge j is ``keys[eorder[j]]``.  ``demands[v]`` is how
+    many out-edges a solution through v takes.
     """
 
     xy: bool
     names: list[VertexId]
     pos: dict[VertexId, int]
+    keys: list[Edge]
+    eorder: np.ndarray
     src: int
     tails: np.ndarray
     heads: np.ndarray
@@ -72,17 +79,32 @@ class TreeCore:
         but the source has a chosen in-edge, which in a tree is the same as
         being reachable from the source inside the solution.  None says
         nothing more; the caller's own checks find out what is wrong.
+
+        An edge set of more than half the tree is matched by looking up each
+        tree edge key in it; a smaller one by mapping its endpoints to
+        indices.
         """
-        n, k = self.n, len(edges)
-        try:
-            ends = np.fromiter(map(self.pos.__getitem__, chain.from_iterable(edges)),
-                               np.int64, count=2 * k)
-        except (KeyError, TypeError, ValueError):
-            return None
-        tails, heads = ends[0::2], ends[1::2]
-        eids = self.inedge[heads]
-        if k and (int(eids.min()) < 0 or not np.array_equal(self.tails[eids], tails)):
-            return None
+        n, m, k = self.n, len(self.keys), len(edges)
+        if 2 * k > m:
+            hits = np.fromiter(map(edges.__contains__, self.keys), bool, count=m)
+            if int(np.count_nonzero(hits)) != k:
+                return None
+            eids = np.flatnonzero(hits[self.eorder])
+            tails, heads = self.tails[eids], self.heads[eids]
+        else:
+            try:
+                ends = np.fromiter(map(self.pos.__getitem__, chain.from_iterable(edges)),
+                                   np.int64, count=2 * k)
+            except (KeyError, TypeError, ValueError):
+                return None
+            tails, heads = ends[0::2], ends[1::2]
+            eids = self.inedge[heads]
+            if k and (int(eids.min()) < 0 or not np.array_equal(self.tails[eids], tails)):
+                return None
+            # a string or a longer tuple can iterate like the ids of an edge
+            # without being its key
+            if not all(map(edges.__contains__, map(self.keys.__getitem__, self.eorder[eids].tolist()))):
+                return None
         member = np.zeros(n, dtype=bool)
         member[self.src] = True
         member[tails] = True
@@ -93,7 +115,8 @@ class TreeCore:
         entered = np.zeros(n, dtype=bool)
         entered[self.src] = True
         entered[heads] = True
-        if not entered[member].all():
+        # k vertices entered besides the source: no two elements name one edge
+        if int(np.count_nonzero(entered)) != k + 1 or not entered[member].all():
             return None
         return int(self.weights[eids].sum())
 
@@ -116,14 +139,15 @@ def index_tree(g: AndOrGraph | XYGraph, xy: bool) -> TreeCore:
         return core
     labels, edges, source = g.labels, g.edges, g.source
     n = len(labels)
-    m = len(edges)
+    keys = list(edges)
+    m = len(keys)
     names = sorted(labels)
     pos = dict(zip(names, range(n)))
     if (not isinstance(g, XYGraph if xy else AndOrGraph) or source not in pos
             or m != n - 1 or not plain_ints(edges.values())):
         _reject(g, xy)
     try:
-        ends = np.fromiter(map(pos.__getitem__, chain.from_iterable(edges)),
+        ends = np.fromiter(map(pos.__getitem__, chain.from_iterable(keys)),
                            np.int64, count=2 * m)
         weights = np.fromiter(edges.values(), np.int64, count=m)
     except (KeyError, OverflowError, TypeError, ValueError):
@@ -188,8 +212,8 @@ def index_tree(g: AndOrGraph | XYGraph, xy: bool) -> TreeCore:
     else:
         _reject(g, xy)
 
-    core = TreeCore(xy, names, pos, src, tails, heads, weights, inedge, offs,
-                    outdeg, demands, depth)
+    core = TreeCore(xy, names, pos, keys, eorder, src, tails, heads, weights, inedge,
+                    offs, outdeg, demands, depth)
     vars(g)[TREE_CORE] = core
     return core
 
@@ -204,66 +228,98 @@ def _ragged(starts, lens):
     return np.arange(total, dtype=np.int64) - block_out[block] + starts[block]
 
 
-def _ranked(core: TreeCore, c, verts):
-    """The out-edges of ``verts``, grouped by vertex in the order of ``verts``
-    and ranked within each group by (weight + child cost, head id).
+def _ranked(vals, starts, lens, xs):
+    """The x cheapest of each segment ``vals[starts[i]:starts[i]+lens[i]]``.
 
-    Returns the edge ids, their values and where each group starts.  When
-    every vertex takes all its out-edges the ranking cannot matter, and
-    the edges stay in CSR order.
+    Within a segment the edges ascend by head, so a stable sort by value
+    ranks them by (value, head id).  Returns the chosen positions, grouped
+    by segment, and each segment's chosen sum.
     """
-    vlens = core.outdeg[verts]
-    eidx = _ragged(core.offs[verts], vlens)
-    heads = core.heads[eidx]
-    vals = core.weights[eidx] + c[heads]
-    if not np.array_equal(core.demands[verts], vlens):
-        seg = np.repeat(np.arange(verts.size, dtype=np.int64), vlens)
-        so = np.lexsort((heads, vals, seg))
-        eidx = eidx[so]
-        vals = vals[so]
-    return eidx, vals, np.cumsum(vlens) - vlens
+    at = _ragged(starts, lens)
+    seg = np.repeat(np.arange(starts.size, dtype=np.int64), lens)
+    at = at[np.lexsort((vals[at], seg))]
+    take = at[_ragged(np.cumsum(lens) - lens, xs)]
+    return take, np.add.reduceat(vals[take], np.cumsum(xs) - xs)
 
 
 def solve_core(core: TreeCore) -> tuple[int, frozenset[Edge]] | None:
     """Optimum and witness edges, one vectorized pass per depth layer.
 
     Selection semantics match the scalar path exactly: per vertex, edges
-    ranked by (weight + child cost, head id), the x cheapest chosen.
-    Returns None for degenerate shapes (depth comparable to n) where the
-    per-layer overhead would lose to the scalar loop.
+    ranked by (weight + child cost, head id), the x cheapest chosen.  The
+    witness holds the graph's own edge keys.  Returns None for degenerate
+    shapes (depth comparable to n) where the per-layer overhead would lose
+    to the scalar loop.
     """
-    n, src, xs = core.n, core.src, core.demands
-    layer_sizes = np.bincount(core.depth)
-    layer_count = len(layer_sizes)
+    solved = _solve_layers(core)
+    if solved is None:
+        return None
+    # built once the passes' arrays are freed, which lowers the peak memory
+    optimum, eids = solved
+    return optimum, frozenset(map(core.keys.__getitem__, eids.tolist()))
+
+
+def _solve_layers(core: TreeCore) -> tuple[int, np.ndarray] | None:
+    """The optimum and the witness's edges as positions in ``core.keys``.
+
+    Only x-y vertices with 1 < x < y sort: a vertex that takes all its
+    edges needs no ranking, and an or-vertex takes the first edge of least
+    value, edges being stored by head.  The bottom-up pass records each
+    vertex's picks; one top-down sweep keeps the picks whose tail is in the
+    solution.
+    """
+    n, src = core.n, core.src
+    layer_count = int(core.depth.max()) + 1
     if layer_count > max(64, n // 64):
         return None
-    order = np.argsort(core.depth, kind="stable")
-    bounds = np.zeros(layer_count + 1, dtype=np.int64)
-    np.cumsum(layer_sizes, out=bounds[1:])
+    # internal vertices by depth, and their out-edges in that order: the
+    # out-edges of layer li are lay[eb[li]:eb[li+1]], each vertex's a run.
+    # Vertices of one layer are independent, so their order does not matter.
+    # Every layer but the deepest, which holds only sinks, has internal vertices.
+    order = np.argsort(core.depth)
+    order = order[core.outdeg[order] > 0]
+    lens = core.outdeg[order]
+    xs = core.demands[order]
+    starts = np.cumsum(lens) - lens
+    lay = _ragged(core.offs[order], lens)
+    heads = core.heads[lay]
+    weights = core.weights[lay]
+    vb = np.searchsorted(core.depth[order], np.arange(layer_count + 1))
+    eb = np.append(starts, lay.size)[vb].tolist()
+    vb = vb.tolist()
 
+    full = xs == lens
+    orv = (xs == 1) & ~full
+    general = (xs > 1) & ~full
+    picked = np.repeat(full, lens)
     c = np.zeros(n, dtype=np.int64)
-    for li in range(layer_count - 1, -1, -1):
-        verts = order[bounds[li] : bounds[li + 1]]
-        verts = verts[xs[verts] > 0]
-        if verts.size == 0:
-            continue
-        _eidx, vals, segstart = _ranked(core, c, verts)
-        cums = np.cumsum(vals)
-        last = segstart + xs[verts] - 1
-        base = np.where(segstart > 0, cums[segstart - 1], 0)
-        c[verts] = cums[last] - base
+    for li in range(layer_count - 2, -1, -1):
+        v0, v1, e0, e1 = vb[li], vb[li + 1], eb[li], eb[li + 1]
+        verts = order[v0:v1]
+        vals = weights[e0:e1] + c[heads[e0:e1]]
+        st = starts[v0:v1] - e0
+        sel = full[v0:v1]
+        if sel.any():
+            c[verts[sel]] = np.add.reduceat(vals, st)[sel]
+        sel = orv[v0:v1]
+        if sel.any():
+            mins = np.minimum.reduceat(vals, st)
+            # the first position of each segment's minimum is its smallest head
+            at = np.arange(e1 - e0)
+            at[vals != np.repeat(mins, lens[v0:v1])] = e1 - e0
+            first = np.minimum.reduceat(at, st)[sel]
+            c[verts[sel]] = mins[sel]
+            picked[e0 + first] = True
+        sel = general[v0:v1]
+        if sel.any():
+            take, sums = _ranked(vals, st[sel], lens[v0:v1][sel], xs[v0:v1][sel])
+            c[verts[sel]] = sums
+            picked[e0 + take] = True
 
-    chosen = []
-    frontier = np.asarray([src], dtype=np.int64)
-    while frontier.size:
-        verts = frontier[xs[frontier] > 0]
-        if verts.size == 0:
-            break
-        eidx, _vals, segstart = _ranked(core, c, verts)
-        eids = eidx[_ragged(segstart, xs[verts])]
-        chosen.append(eids)
-        frontier = core.heads[eids]
-    all_e = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    gname = core.names.__getitem__
-    pairs = zip(map(gname, core.tails[all_e].tolist()), map(gname, core.heads[all_e].tolist()))
-    return int(c[src]), frozenset(pairs)
+    insol = np.zeros(n, dtype=bool)
+    insol[src] = True
+    tails = np.repeat(order, lens)
+    for li in range(layer_count - 1):
+        e0, e1 = eb[li], eb[li + 1]
+        insol[heads[e0:e1]] = insol[tails[e0:e1]] & picked[e0:e1]
+    return int(c[src]), core.eorder[lay[insol[heads]]]

@@ -11,6 +11,8 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 import oracles
 from andorxy import (
     AndOrGraph,
@@ -63,6 +65,7 @@ def _finish(tag, detail, t0, budget=None):
     print(f"PASS {tag}: {detail} ({dt:.1f}s)")
 
 
+@pytest.mark.slow
 def test_c01_vertex_cover_gadget_equivalence():
     t0 = time.monotonic()
 
@@ -226,6 +229,7 @@ def test_c07_bound_sandwich():
             "schedule bound <= optimum <= dp witness weight", t0)
 
 
+@pytest.mark.slow
 def test_c08_tree_solvers_match_exact_and_scale():
     t0 = time.monotonic()
     rng = random.Random(808)

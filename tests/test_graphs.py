@@ -1,6 +1,7 @@
 """Validation, conversions, solution verification, and the structural predicates."""
 
 import itertools
+import string
 from random import Random
 
 import pytest
@@ -463,6 +464,56 @@ def test_verify_from_cached_tree_index_matches_fresh_graph(monkeypatch):
                 assert core.accepts(sub) is None
         assert "tree_core" not in vars(fresh)
     assert accepted > 60
+
+
+def _one_letter_ids(g):
+    """The same tree with one-letter vertex ids, so that a two-letter string
+    iterates like the pair of ids of an edge."""
+    name = dict(zip(sorted(g.labels), string.ascii_letters))
+    return type(g)({name[v]: lab for v, lab in g.labels.items()},
+                   {(name[t], name[h]): w for (t, h), w in g.edges.items()},
+                   name[g.source], g.zero_weights_allowed)
+
+
+def test_tree_core_accepts_both_ways(monkeypatch):
+    # an edge set of more than half the tree is matched by scanning the
+    # tree's edge keys, a smaller one by mapping its ends through pos; on
+    # either side, broken witnesses get the verdict of the dict-based checks
+    monkeypatch.setattr(solvers, "_FAST_MIN_N", 1)
+    rng = Random(11)
+    seen = set()
+    for trial in range(60):
+        cfg = GeneratorConfig(n=rng.randint(6, 40), seed=trial, weight_hi=9,
+                              and_fraction=(0.0, 1.0, 0.3, 0.8)[trial % 4])
+        if trial % 2:
+            g, solve, verify = gen_xy_tree(cfg), solvers.solve_xy_tree, verify_solution_xy
+        else:
+            g, solve, verify = gen_andor_tree(cfg), solvers.solve_andor_tree, verify_solution_andor
+        g = _one_letter_ids(g)
+        witness = solve(g).witness.edges
+        core = vars(g)["tree_core"]
+        fresh = type(g)(g.labels, g.edges, g.source, g.zero_weights_allowed)
+        # a witness edge, replaced below by elements that iterate like it
+        edge = min(witness or g.edges)
+        t, hd = edge
+        variants = {
+            "witness": witness,
+            "unknown edge": witness | {("nowhere", g.source)},
+            "pair string": witness - {edge} | {t + hd},
+            "triple": witness - {edge} | {(t, hd, 0)},
+        }
+        tails = {t for t, _hd in witness}
+        cut = [e for e in sorted(witness) if e[1] in tails]
+        if cut:
+            variants["missing in-edge"] = witness - {cut[0]}
+        for kind, sub in variants.items():
+            h = SolutionSubgraph(sub)
+            want = _verdict(verify, fresh, h)
+            assert _verdict(verify, g, h) == want, (trial, kind)
+            assert core.accepts(sub) == (want[1] if want[0] is True else None), (trial, kind)
+            assert (want[0] is True) == (kind == "witness")
+            seen.add((kind, 2 * len(sub) > len(g.edges)))
+    assert len(seen) == 10  # every variant on both sides of m/2
 
 
 def test_solution_subgraph_helpers():

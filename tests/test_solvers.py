@@ -210,17 +210,24 @@ def force_fast(monkeypatch):
 def test_fast_path_matches_scalar(monkeypatch):
     rng = Random(8)
     cases = []
-    for trial in range(30):
-        n = rng.randint(1, 40)
-        cases.append(("a", gen_andor_tree(GeneratorConfig(n=n, seed=trial, weight_hi=9))))
-        cases.append(("x", gen_xy_tree(GeneratorConfig(n=n, seed=trial, weight_hi=9))))
-    scalar = [
-        (solve_andor_tree(g) if kind == "a" else solve_xy_tree(g)) for kind, g in cases
-    ]
+    for trial in range(60):
+        # small trees, and 5,000-vertex ones with hundreds of vertices per layer
+        n = rng.randint(1, 40) if trial < 48 else 5000
+        # distinct weights, ties and zero weights; or-only, mixed and and-only trees
+        lo, hi = ((1, 9), (0, 3), (4, 4), (0, 0))[trial % 4]
+        cfg = GeneratorConfig(n=n, seed=trial, weight_lo=lo, weight_hi=hi,
+                              and_fraction=(0.0, 0.5, 1.0)[trial % 3])
+        cases.append(("a", gen_andor_tree(cfg)))
+        cases.append(("x", gen_xy_tree(cfg)))
+    assert sum(1 < x < y for kind, g in cases if kind == "x" for x, y in g.labels.values()) > 1000
+    scalar = []
+    for kind, g in cases:
+        assert g.index is not None  # an indexed graph solves on the scalar path
+        scalar.append(solve_andor_tree(g) if kind == "a" else solve_xy_tree(g))
+        assert "tree_core" not in vars(g)
     force_fast(monkeypatch)
     for (kind, g), ref in zip(cases, scalar):
-        # the scalar solve cached an index on g, which would keep g on the
-        # scalar path; a new object takes the vectorized one
+        # a new object carries no index, so it takes the vectorized path
         f = fresh(g)
         res = solve_andor_tree(f) if kind == "a" else solve_xy_tree(f)
         assert "tree_core" in vars(f) and "index" not in vars(f)
@@ -544,10 +551,18 @@ def test_overflow_reported_on_doubling_dag():
         solve_exact_andor(g)
 
 
+# decide_min_andor's node counts on the YES decisions of test_decisions_use_k
+# when its search kept going past the first solution of weight <= k
+SEARCH_ON_YES_NODES = 1453
+SEARCH_ON_NODES = {(69, 112): 26, (230, 179): 32, (230, 180): 32, (287, 36): 52}
+
+
 def test_decisions_use_k(monkeypatch):
     # decide_min_andor and decide_kernel answer as the optimum does, and
-    # their searches, pruned at k, never visit more nodes than a full solve
+    # their searches, pruned at k and stopped at the first solution of
+    # weight <= k, never visit more nodes than a full solve
     nodes = []
+    yes_nodes = 0
     real = solvers._exact_min
 
     def counted(*args, **kwargs):
@@ -568,6 +583,10 @@ def test_decisions_use_k(monkeypatch):
             assert decide_min_andor(g, k) == (full.optimum <= k)
             assert len(nodes) == 1 and nodes[0] <= full.nodes
             fewer += nodes[0] < full.nodes
+            if full.optimum <= k:
+                yes_nodes += nodes[0]
+            if (trial, k) in SEARCH_ON_NODES:
+                assert nodes[0] < SEARCH_ON_NODES[trial, k]
             if k < 0:
                 continue
             kr = kernelize(g, k)
@@ -576,6 +595,7 @@ def test_decisions_use_k(monkeypatch):
             if kr.reduced is not None:
                 assert nodes[0] <= solve_exact_andor(kr.reduced).nodes
     assert fewer > 0  # k cut some searches short
+    assert yes_nodes < SEARCH_ON_YES_NODES
 
 
 def test_decide_min_andor_thresholds():
