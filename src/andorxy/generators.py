@@ -2,12 +2,19 @@
 
 All generators draw from ``random.Random(cfg.seed)`` and touch vertices in
 fixed index order, so a config maps to one graph, byte for byte, on every
-platform.  Vertex ids are zero-padded (``v00`` .. ``v41``) so lexicographic
-order matches construction order.
+platform.  The stream is defined by ``Random.random`` (labels and optional
+edges) and ``Random.getrandbits`` under one rejection rule (``_below``):
+an integer below n takes n.bit_length() bits, drawn again while the value
+is n or more.  That is the rule of ``randrange`` and ``randint``, so the
+graphs are those the generators drew through them.  Vertex ids are
+zero-padded (``v00`` .. ``v41``) so lexicographic order matches
+construction order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -45,7 +52,16 @@ class GeneratorConfig(NamedTuple):
 
 def _ids(n: int) -> list[str]:
     width = len(str(n - 1)) if n > 1 else 1
-    return [f"v{i:0{width}d}" for i in range(n)]
+    return ["v" + str(i).zfill(width) for i in range(n)]
+
+
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), n >= 1, taking the bits ``Random.randrange(n)`` takes."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _dag_edges(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[Edge, int]:
@@ -55,39 +71,38 @@ def _dag_edges(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[Edge, 
     vertex, which makes the whole graph reachable from ids[0]; extra forward
     edges appear with probability cfg.density.
     """
-    n, lo, hi, density = cfg.n, cfg.weight_lo, cfg.weight_hi, cfg.density
+    n, lo, density = cfg.n, cfg.weight_lo, cfg.density
+    span = cfg.weight_hi - lo + 1
+    getrandbits, random = rng.getrandbits, rng.random
     edges = _tree_edges(cfg, rng, ids)
     for i in range(n):
         for j in range(i + 1, n):
             e = (ids[i], ids[j])
-            if e not in edges and rng.random() < density:
-                edges[e] = rng.randint(lo, hi)
+            if e not in edges and random() < density:
+                edges[e] = lo + _below(getrandbits, span)
     return edges
 
 
 def _tree_edges(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[Edge, int]:
-    lo, hi = cfg.weight_lo, cfg.weight_hi
+    lo, span = cfg.weight_lo, cfg.weight_hi - cfg.weight_lo + 1
+    getrandbits, below = rng.getrandbits, _below
     edges: dict[Edge, int] = {}
     for i in range(1, cfg.n):
-        p = rng.randrange(i)
-        edges[(ids[p], ids[i])] = rng.randint(lo, hi)
+        p = below(getrandbits, i)  # the parent is drawn before the weight
+        edges[(ids[p], ids[i])] = lo + below(getrandbits, span)
     return edges
 
 
 def _andor_labels(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[str, str]:
-    p_and = cfg.and_fraction
-    return {v: (AND if rng.random() < p_and else OR) for v in ids}
+    p_and, random = cfg.and_fraction, rng.random
+    return {v: (AND if random() < p_and else OR) for v in ids}
 
 
 def _xy_labels(rng: Random, ids: list[str], edges: dict[Edge, int]) -> dict[str, tuple[int, int]]:
-    outdeg = {v: 0 for v in ids}
-    for (t, _h) in edges:
-        outdeg[t] += 1
-    labels: dict[str, tuple[int, int]] = {}
-    for v in ids:  # fixed order keeps the rng stream stable
-        y = outdeg[v]
-        labels[v] = (0, 0) if y == 0 else (rng.randint(1, y), y)
-    return labels
+    outdeg = Counter(map(itemgetter(0), edges)).get
+    getrandbits = rng.getrandbits
+    # fixed order keeps the rng stream stable
+    return {v: (1 + _below(getrandbits, y), y) if (y := outdeg(v, 0)) else (0, 0) for v in ids}
 
 
 def gen_andor(cfg: GeneratorConfig) -> AndOrGraph:

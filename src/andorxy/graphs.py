@@ -265,46 +265,66 @@ class _Indexed(NamedTuple):
     n: int
 
 
-def _build_index(g: _Graph) -> _Indexed | None:
-    """The index of ``g``, or None when ``g`` breaks a rule of validation.
+def pair_keys(keys) -> bool:
+    """True when every edge key is a tuple of two endpoints.
 
-    Labels are pairs in an ``XYGraph`` and "and"/"or" otherwise.  An order
-    from the source that reaches all n vertices proves acyclicity and
-    reachability at once.
+    One pass over the keys' types and one over their lengths.
     """
-    labels, edges, source = g.labels, g.edges, g.source
+    return all(issubclass(t, tuple) for t in set(map(type, keys))) and set(map(len, keys)) <= {2}
+
+
+def _build_index(g: _Graph) -> _Indexed | None:
+    """The index of ``g``, or None when ``g`` breaks a rule of validation."""
+    labels, edges = g.labels, g.edges
     names = sorted(labels)
     pos = dict(zip(names, range(len(names))))
-    n = len(names)
-    if source not in pos:
+    if g.source not in pos or not pair_keys(edges):
         return None
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    indeg = [0] * n
+    adj: list[list[tuple[int, int]]] = [[] for _ in names]
+    indeg = [0] * len(names)
     try:
         for (t, h), w in edges.items():
             adj[pos[t]].append((pos[h], w))
             indeg[pos[h]] += 1
     except KeyError:
         return None
-    weights = edges.values()
+    labs = list(map(labels.__getitem__, names))
+    return _finish_index(g, names, labs, adj, pos[g.source], indeg)
+
+
+def _finish_index(g: _Graph, names: list[VertexId], labs: list, adj: list[list[tuple[int, int]]],
+                  src: int, indeg: list[int]) -> _Indexed | None:
+    """The index over vertices ``names`` labeled ``labs`` with out-edges ``adj``.
+
+    Both builders end here: ``_build_index`` from a graph's dicts and
+    ``parse_graph`` as it reads.  Returns None when ``g`` breaks a rule of
+    validation.  Labels are pairs in an ``XYGraph`` and "and"/"or"
+    otherwise.  An order from the source that reaches all n vertices proves
+    acyclicity and reachability at once.  Id order is such an order when
+    the source is vertex 0, every other vertex has an in-edge and every
+    edge runs to a higher index; else Kahn's algorithm looks for one.
+    """
+    weights = g.edges.values()
     if weights and not (plain_ints(weights)
                         and (0 if g.zero_weights_allowed else 1) <= min(weights)
                         and max(weights) <= MAX_WEIGHT):
         return None
     for lst in adj:
         lst.sort()
-    src = pos[source]
-    order = [src]
-    deg = indeg[:]
-    for v in order:
-        for h, _w in adj[v]:
-            deg[h] -= 1
-            if deg[h] == 0:
-                order.append(h)
-    if indeg[src] or len(order) != n:
-        return None
+    n = len(names)
+    if src == 0 and indeg.count(0) == 1 and all(v < lst[0][0] for v, lst in enumerate(adj) if lst):
+        order = list(range(n))
+    else:
+        order = [src]
+        deg = indeg[:]
+        for v in order:
+            for h, _w in adj[v]:
+                deg[h] -= 1
+                if deg[h] == 0:
+                    order.append(h)
+        if indeg[src] or len(order) != n:
+            return None
 
-    labs = list(map(labels.__getitem__, names))
     if isinstance(g, XYGraph):
         cols = xy_columns(labs)
         if cols is None or any(y != len(lst) or not 0 <= x <= y for x, y, lst in zip(*cols, adj)):
@@ -317,6 +337,10 @@ def _build_index(g: _Graph) -> _Indexed | None:
     return _Indexed(names, adj, src, order, indeg, xs, n)
 
 
+def _is_pair(e) -> bool:
+    return isinstance(e, tuple) and len(e) == 2
+
+
 def _structural_violations(labels, edges, source, zero_ok) -> list[str]:
     out: list[str] = []
     if source not in labels:
@@ -326,7 +350,12 @@ def _structural_violations(labels, edges, source, zero_ok) -> list[str]:
     out_heads: dict[VertexId, list[VertexId]] = {v: [] for v in labels}
     indeg = {v: 0 for v in labels}
     bad_endpoint = False
-    for (t, h), w in edges.items():
+    for e, w in edges.items():
+        if not _is_pair(e):
+            out.append(f"edge key {e!r} is not a (tail, head) pair")
+            bad_endpoint = True
+            continue
+        t, h = e
         if t not in labels or h not in labels:
             out.append(f"edge ({t}, {h}) references an undeclared vertex")
             bad_endpoint = True
@@ -407,9 +436,9 @@ def validate_xy(g: XYGraph) -> ValidationReport:
         return ValidationReport(True)
     out = _structural_violations(g.labels, g.edges, g.source, g.zero_weights_allowed)
     outdeg: dict[VertexId, int] = {v: 0 for v in g.labels}
-    for (t, h) in g.edges:
-        if t in outdeg:
-            outdeg[t] += 1
+    for e in g.edges:
+        if _is_pair(e) and e[0] in outdeg:
+            outdeg[e[0]] += 1
     for v in sorted(g.labels):
         lab = g.labels[v]
         if (

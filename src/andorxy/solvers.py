@@ -422,13 +422,13 @@ def decide_min_andor(g: AndOrGraph, k: int) -> bool:
 
 
 def _bit_positions(m: int) -> list[int]:
+    """The positions of the set bits of ``m`` >= 0, ascending, in time linear in its length."""
+    digits = bin(m)[:1:-1]  # digits[i] is bit i
     out = []
-    i = 0
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out
 
 

@@ -29,6 +29,7 @@ from .graphs import (
     Edge,
     SolutionSubgraph,
     XYGraph,
+    _finish_index,
     validate_andor,
     validate_xy,
 )
@@ -48,13 +49,38 @@ class GraphFormatError(ValueError):
         super().__init__(where + message)
 
 
+def _pieces(text: str):
+    """``text`` in pieces of about 64 KiB, each ending just after a newline.
+
+    Splitting each piece gives the lines of ``text`` without a list of all
+    of them.  A text holding another break that ``str.splitlines`` knows
+    (``\\r``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, or a non-ASCII one) stays one piece.
+    """
+    if not text.isascii() or any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e")):
+        yield text
+        return
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + 65536) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _significant_lines(text: str):
-    """Yield (lineno, tokens, column-of-first-token) for non-blank lines."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            yield lineno, tokens, body.index(tokens[0]) + 1
+    """Yield (lineno, tokens, comment-free body) for non-blank lines."""
+    lineno = 0
+    for piece in _pieces(text):
+        for raw in piece.splitlines():
+            lineno += 1
+            body = raw.split("#", 1)[0] if "#" in raw else raw
+            tokens = body.split()
+            if tokens:
+                yield lineno, tokens, body
+
+
+def _column(body: str, tokens: list[str]) -> int:
+    """1-based column of a line's first token."""
+    return body.index(tokens[0]) + 1
 
 
 def _check_id(tok: str, lineno: int) -> str:
@@ -76,31 +102,52 @@ def parse_graph(text: str) -> AndOrGraph | XYGraph:
     duplicate declarations, undeclared endpoints, or a missing/duplicate
     source line, and with the violation list when the described graph
     fails validation.
+
+    Vertex i is the i-th declared vertex, and each edge line adds its
+    (head, weight) to the integer adjacency as it is read.  When the vertex
+    lines come in increasing id order, as in every canonical file, that
+    numbering is the index's own: ``_finish_index`` completes it, and
+    validation reads it.  Otherwise validation indexes the graph's dicts.
     """
     kind: str | None = None
     zero_ok = False
-    labels: dict = {}
+    pos: dict[str, int] = {}  # vertex id -> its declaration position
+    labs: list = []
+    adj: list[list[tuple[int, int]]] = []
+    indeg: list[int] = []
     edges: dict[Edge, int] = {}
     source: str | None = None
     seen_body = False
+    last = ""  # the last declared id while ids increase, None once they do not
 
-    for lineno, toks, col in _significant_lines(text):
+    for lineno, toks, body in _significant_lines(text):
         if kind is None:
             if toks == ["andor"] or toks == ["xy"]:
                 kind = toks[0]
                 continue
             raise GraphFormatError(
-                f"expected header 'andor' or 'xy', got {' '.join(toks)!r}", lineno, col
+                f"expected header 'andor' or 'xy', got {' '.join(toks)!r}", lineno,
+                _column(body, toks)
             )
         if source is not None:
             raise GraphFormatError("content after the source line", lineno)
         tag = toks[0]
-        if tag == "zero-weights":
-            if seen_body:
-                raise GraphFormatError("zero-weights directive must precede vertex lines", lineno)
-            if zero_ok:
-                raise GraphFormatError("duplicate zero-weights directive", lineno)
-            zero_ok = True
+        if tag == "e":
+            seen_body = True
+            if len(toks) != 4:
+                raise GraphFormatError("edge line needs: e <tail> <head> <weight>", lineno)
+            _, t, h, wtok = toks
+            try:
+                ti, hi = pos[t], pos[h]
+            except KeyError:
+                end = h if t in pos else t
+                raise GraphFormatError(f"edge references undeclared vertex {end}", lineno) from None
+            w = _check_uint(wtok, "weight", lineno)
+            if (t, h) in edges:
+                raise GraphFormatError(f"duplicate edge ({t}, {h})", lineno)
+            edges[(t, h)] = w
+            adj[ti].append((hi, w))
+            indeg[hi] += 1
         elif tag == "v":
             seen_body = True
             if kind == "andor":
@@ -118,41 +165,40 @@ def parse_graph(text: str) -> AndOrGraph | XYGraph:
                     _check_uint(toks[2], "x value", lineno),
                     _check_uint(toks[3], "y value", lineno),
                 )
-            if vid in labels:
+            if vid in pos:
                 raise GraphFormatError(f"duplicate vertex {vid}", lineno)
-            labels[vid] = lab
-        elif tag == "e":
-            seen_body = True
-            if len(toks) != 4:
-                raise GraphFormatError("edge line needs: e <tail> <head> <weight>", lineno)
-            t, h = toks[1], toks[2]
-            for end in (t, h):
-                if end not in labels:
-                    raise GraphFormatError(f"edge references undeclared vertex {end}", lineno)
-            w = _check_uint(toks[3], "weight", lineno)
-            if (t, h) in edges:
-                raise GraphFormatError(f"duplicate edge ({t}, {h})", lineno)
-            edges[(t, h)] = w
+            if last is not None:
+                last = vid if vid > last else None
+            pos[vid] = len(labs)
+            labs.append(lab)
+            adj.append([])
+            indeg.append(0)
         elif tag == "s":
             if len(toks) != 2:
                 raise GraphFormatError("source line needs: s <id>", lineno)
-            if toks[1] not in labels:
+            if toks[1] not in pos:
                 raise GraphFormatError(f"source {toks[1]} is not a declared vertex", lineno)
             source = toks[1]
+        elif tag == "zero-weights":
+            if seen_body:
+                raise GraphFormatError("zero-weights directive must precede vertex lines", lineno)
+            if zero_ok:
+                raise GraphFormatError("duplicate zero-weights directive", lineno)
+            zero_ok = True
         else:
-            raise GraphFormatError(f"unknown line tag {tag!r}", lineno, col)
+            raise GraphFormatError(f"unknown line tag {tag!r}", lineno, _column(body, toks))
 
     if kind is None:
         raise GraphFormatError("empty input, expected a header line")
     if source is None:
         raise GraphFormatError("missing source line")
 
-    if kind == "andor":
-        g: AndOrGraph | XYGraph = AndOrGraph(labels, edges, source, zero_ok)
-        rep = validate_andor(g)
-    else:
-        g = XYGraph(labels, edges, source, zero_ok)
-        rep = validate_xy(g)
+    names = list(pos)
+    g = (AndOrGraph if kind == "andor" else XYGraph)(dict(zip(names, labs)), edges, source,
+                                                     zero_ok)
+    if last is not None:
+        vars(g)["index"] = _finish_index(g, names, labs, adj, pos[source], indeg)
+    rep = validate_andor(g) if kind == "andor" else validate_xy(g)
     if not rep.ok:
         raise GraphFormatError("invalid graph: " + "; ".join(rep.violations))
     return g
@@ -178,9 +224,10 @@ def serialize_graph(g: AndOrGraph | XYGraph) -> str:
 def parse_solution(text: str) -> SolutionSubgraph:
     """Parse a solution file: ``e <tail> <head>`` lines; empty input is the empty solution."""
     edges: set[Edge] = set()
-    for lineno, toks, col in _significant_lines(text):
+    for lineno, toks, body in _significant_lines(text):
         if toks[0] != "e" or len(toks) != 3:
-            raise GraphFormatError("solution line needs: e <tail> <head>", lineno, col)
+            raise GraphFormatError("solution line needs: e <tail> <head>", lineno,
+                                   _column(body, toks))
         e = (toks[1], toks[2])
         if e in edges:
             raise GraphFormatError(f"duplicate solution edge ({e[0]}, {e[1]})", lineno)

@@ -33,6 +33,7 @@ from .graphs import (
     XYGraph,
     andor_labels,
     cached_tree_core,
+    pair_keys,
     plain_ints,
     xy_columns,
 )
@@ -144,7 +145,7 @@ def index_tree(g: AndOrGraph | XYGraph, xy: bool) -> TreeCore:
     names = sorted(labels)
     pos = dict(zip(names, range(n)))
     if (not isinstance(g, XYGraph if xy else AndOrGraph) or source not in pos
-            or m != n - 1 or not plain_ints(edges.values())):
+            or m != n - 1 or not pair_keys(keys) or not plain_ints(edges.values())):
         _reject(g, xy)
     try:
         ends = np.fromiter(map(pos.__getitem__, chain.from_iterable(keys)),

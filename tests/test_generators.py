@@ -1,5 +1,7 @@
 """Seeded generators: determinism, validity, and config checking."""
 
+import hashlib
+
 import pytest
 
 from andorxy import (
@@ -109,3 +111,37 @@ def test_vertex_ids_sort_in_construction_order():
 def test_bad_configs_rejected(bad):
     with pytest.raises(ValueError):
         gen_andor(GeneratorConfig(**bad))
+
+
+GENERATORS = {g.__name__: g for g, _ in ALL_KINDS}
+
+# (generator, GeneratorConfig fields, sha256 of serialize_graph's text, sha256
+# of the dicts' items in insertion order), the first 16 hex digits of each.
+# Recorded from the randrange/randint generators; any change of the stream
+# or of the insertion order shows here.
+PINNED = [
+    ("gen_andor", (1, 0, 1, 8, 0.5, 0.25), "7628175be86370d5", "b84d0a4a2e114ad7"),
+    ("gen_andor", (2, 1, 1, 8, 0.5, 0.25), "49bed665d826c839", "bf1bccef42b439cc"),
+    ("gen_andor", (40, 7, 0, 3, 0.5, 1.0), "4f365611051a01b1", "e5b0707c6ce2833b"),
+    ("gen_andor", (60, 11, 5, 5, 0.3, 0.0), "cb879b0f86d652d1", "f42c9d963ca394f7"),
+    ("gen_andor_tree", (1, 4, 1, 8, 0.5, 0.25), "1ae7a2a66337986e", "aca237edb2cf4d39"),
+    ("gen_andor_tree", (2, 3, 0, 0, 0.5, 0.25), "142511a18ac36898", "cb360edac88c3bf4"),
+    ("gen_andor_tree", (300, 12, 1, 2147483647, 0.5, 0.25), "2b6535bf69c33e76", "2edd3f8e786755b7"),
+    ("gen_xy", (2, 5, 1, 8, 0.5, 1.0), "818f69790f816c96", "8614df0d1fe12858"),
+    ("gen_xy", (50, 13, 0, 2147483647, 0.5, 0.3), "ea6d8fa093ed106c", "024d12db5c255a11"),
+    ("gen_xy_tree", (1, 0, 1, 8, 0.5, 0.25), "ea6e3acd9463e0a8", "ca4ad75372e5d8ab"),
+    ("gen_xy_tree", (2, 8, 7, 8, 0.5, 0.25), "c6599155ae1c6b5d", "fc7752cbf760f240"),
+    ("gen_xy_tree", (400, 21, 1, 1000, 0.5, 0.25), "dfbe7739678356cf", "dbc3eaaf9b91cb31"),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,fields,text_digest,order_digest", PINNED)
+def test_stream_is_pinned(name, fields, text_digest, order_digest):
+    g = GENERATORS[name](GeneratorConfig(*fields))
+    assert _sha(serialize_graph(g)) == text_digest
+    order = (list(g.labels.items()), list(g.edges.items()), g.source, g.zero_weights_allowed)
+    assert _sha(repr(order)) == order_digest

@@ -38,7 +38,7 @@ from andorxy import (
     verify_solution_andor,
     verify_solution_xy,
 )
-from andorxy import graphs, solvers
+from andorxy import graphs, solvers, textio
 from andorxy.generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy, gen_xy_tree
 
 
@@ -213,9 +213,16 @@ def test_index_builds_exactly_when_validation_reports_ok(monkeypatch):
 
 
 def test_each_graph_is_indexed_once_and_never_checked_by_name(monkeypatch):
+    # both builders, parse_graph's pass and _build_index, end in _finish_index
     builds, named = [], []
-    real = graphs._build_index
-    monkeypatch.setattr(graphs, "_build_index", lambda g: builds.append(g) or real(g))
+    real = graphs._finish_index
+
+    def counted(g, *rest):
+        builds.append(g)
+        return real(g, *rest)
+
+    monkeypatch.setattr(graphs, "_finish_index", counted)
+    monkeypatch.setattr(textio, "_finish_index", counted)
     monkeypatch.setattr(graphs, "_structural_violations", lambda *a: named.append(a) or [])
     cfg = GeneratorConfig(n=14, seed=7, density=0.4)
     andor, xy, tree, xtree = (parse_graph(serialize_graph(make(cfg)))
@@ -236,6 +243,15 @@ def test_each_graph_is_indexed_once_and_never_checked_by_name(monkeypatch):
     decide_exact_weight_xy_tree(xtree, 5)
     assert named == []
     assert sorted(map(id, builds)) == sorted(map(id, (andor, xy, tree, xtree, kr.reduced)))
+
+
+@pytest.mark.parametrize("key", ["sb", ("s", "b", "x"), frozenset(("s", "b"))],
+                         ids=["str", "triple", "frozenset"])
+def test_validation_names_edge_keys_that_are_not_pairs(key):
+    andor = aog({"s": AND, "a": OR, "b": OR}, {("s", "a"): 1, key: 1})
+    xy = XYGraph({"s": (2, 2), "a": (0, 0), "b": (0, 0)}, {("s", "a"): 1, key: 1}, "s")
+    for rep in (validate_andor(andor), validate_xy(xy)):
+        assert not rep.ok and f"edge key {key!r} is not a (tail, head) pair" in rep.violations
 
 
 def test_andor_to_xy_label_rules():

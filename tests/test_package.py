@@ -1,4 +1,4 @@
-"""The package surface: lazily resolved names, immutable value records, demos."""
+"""The package surface: lazily resolved names, immutable value records, demos, the benchmark."""
 
 import os
 import pickle
@@ -104,3 +104,11 @@ def test_demo_runs(demo, tmp_path):
         cmd = ["sh", str(ROOT / "demos" / demo)]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.slow
+def test_bench_quick_run_passes_its_checks():
+    """Every benchmark workload, with its output checks, on tiny inputs."""
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--quick"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -5,6 +5,7 @@ subsets) on small instances, which is the only ground truth available for
 an NP-hard problem.  Everything else hangs off that anchor.
 """
 
+import time
 from random import Random
 
 import pytest
@@ -192,6 +193,12 @@ INVALID_TREES = [
     (fn, make({"s": lab, "a": sink}, {("s", "a"): w}), "non-integer weight")
     for w in (2.5, True, "3")
     for fn, make, lab, sink in ((solve_andor_tree, aog, AND, OR), (solve_xy_tree, xyg, (1, 1), (0, 0)))
+] + [
+    # edge keys that iterate like ids, or not, but are no (tail, head) pair
+    (fn, make({"s": lab, "a": sink, "b": sink}, {("s", "a"): 1, key: 1}),
+     "is not a \\(tail, head\\) pair")
+    for key in ("sb", ("s", "b", "x"), frozenset(("s", "b")))
+    for fn, make, lab, sink in ((solve_andor_tree, aog, AND, OR), (solve_xy_tree, xyg, (2, 2), (0, 0)))
 ]
 
 
@@ -691,3 +698,67 @@ def test_exact_weight_prefers_some_witness_for_every_achievable_weight():
     for k, expect in [(3, True), (2, False), (0, False), (7, False)]:
         exists, _ = decide_exact_weight_xy_tree(g, k)
         assert exists == expect
+
+
+def test_bit_positions_ascend():
+    for m in (0, 1, 2, 5, 6, 2**100 + 3, 12345678901234567890):
+        assert solvers._bit_positions(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+@pytest.mark.parametrize("base", [10**5, 10**6])
+def test_exact_weight_with_heavy_weights_is_fast(base):
+    # a 3-3 source over three sinks: every weight set spans about 3 * base bits
+    weights = (base + 1, base + 7, base + 19)
+    g = xyg({"s": (3, 3), "a": (0, 0), "b": (0, 0), "c": (0, 0)},
+            dict(zip([("s", "a"), ("s", "b"), ("s", "c")], weights)))
+    achievable = oracles.brute_weights_xy(g)
+    start = time.perf_counter()
+    for k in (sum(weights), sum(weights) - 1, base + 7):
+        exists, witness = decide_exact_weight_xy_tree(g, k)
+        assert exists == (k in achievable)
+        if exists:
+            assert verify_solution_xy(g, witness)[:2] == (True, k)
+    assert time.perf_counter() - start < 1.0
+
+
+def _kahn_order(idx):
+    order, deg = [idx.src], idx.indeg[:]
+    for v in order:
+        for h, _w in idx.adj[v]:
+            deg[h] -= 1
+            if deg[h] == 0:
+                order.append(h)
+    return order
+
+
+def _runs(g):
+    if isinstance(g, XYGraph):
+        out = [solve_exact_xy(g)]
+        if solvers._is_out_tree(g.index):
+            out.append(solve_xy_tree(g))
+            if not g.zero_weights_allowed:  # the exact-weight decision takes positive weights
+                out += [decide_exact_weight_xy_tree(g, k) for k in range(12)]
+        return out
+    ub = dp_upper_bound(g)
+    out = [solve_exact_andor(g), ub, schedule_lower_bound(g),
+           decide_min_andor(g, ub.optimum), decide_min_andor(g, ub.optimum // 2)]
+    if solvers._is_out_tree(g.index):
+        out.append(solve_andor_tree(g))
+    return out
+
+
+def test_solvers_agree_under_kahn_and_id_order():
+    """Any topological order gives the same optima, witnesses, nodes and prunes."""
+    differ = 0
+    for trial in range(40):
+        cfg = GeneratorConfig(n=1 + trial % 11, seed=trial, weight_lo=trial % 2,
+                              density=(0.2, 0.5)[trial % 2])
+        for make in (gen_andor, gen_xy, gen_andor_tree, gen_xy_tree):
+            g = make(cfg)
+            idx = g.index
+            assert idx.order == list(range(idx.n))  # generated ids are in topological order
+            kahn = fresh(g)
+            vars(kahn)["index"] = idx._replace(order=_kahn_order(idx))
+            differ += kahn.index.order != idx.order
+            assert _runs(kahn) == _runs(g)
+    assert differ > 40

@@ -1,5 +1,7 @@
 """Text format: parsing diagnostics, canonical serialization, round-trips."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from andorxy import (
     serialize_graph,
     serialize_solution,
 )
+from andorxy import graphs, textio
 from andorxy.generators import (
     GeneratorConfig,
     gen_andor,
@@ -89,6 +92,96 @@ def test_parse_zero_weights_directive():
 def test_parse_errors(text, msg):
     with pytest.raises(GraphFormatError, match=msg):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # vertex lines in id order, so parse_graph indexes as it reads
+        ("andor\nv a and\nv b or\ne a c 1\ns a\n", "line 4: edge references undeclared vertex c"),
+        ("andor\nv a and\nv b or\ne c a 1\ns a\n", "line 4: edge references undeclared vertex c"),
+        ("andor\nv a and\nv b or\ne a b 1\ne a b 2\ns a\n", "line 5: duplicate edge (a, b)"),
+        ("andor\nv a and\nv b or\ne a b x\ns a\n",
+         "line 4: bad weight 'x', expected a nonnegative integer"),
+        ("andor\nv a and\nv b or\ne b a 1\ns a\n",
+         "invalid graph: source a has in-degree 1; unreachable: b"),
+        ("xy\nv a 1 1\nv b 0 0\nv c 0 0\ne a b 1\ne a c 1\ns a\n",
+         "invalid graph: y mismatch at a: label says 1, out-degree is 2"),
+        # out of id order, so validation indexes the dicts
+        ("andor\nv b or\nv a and\ne a c 1\ns a\n", "line 4: edge references undeclared vertex c"),
+        ("andor\nv b or\nv a and\nv b or\ns a\n", "line 4: duplicate vertex b"),
+        ("andor\nv b or\nv a and\ne a b 1\ns c\n", "line 5: source c is not a declared vertex"),
+        ("andor\nv b or\nv a and\ne b a 1\ns a\n",
+         "invalid graph: source a has in-degree 1; unreachable: b"),
+        ("andor\nv s and\nv a or\n\n# c\n  e  s  a  3 # w\ns s\nv b or\n",
+         "line 8: content after the source line"),
+    ],
+)
+def test_parse_error_texts_on_both_paths(text, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+def _rewrites(text: str, rng: Random) -> list[str]:
+    """The canonical text and equivalent files that are not canonical."""
+    lines = text.splitlines()
+    head = [ln for ln in lines if not ln.startswith(("v ", "e ", "s "))]
+    verts = [ln for ln in lines if ln.startswith("v ")]
+    edges = [ln for ln in lines if ln.startswith("e ")]
+    tail = [lines[-1]]
+    shuffled_edges = rng.sample(edges, len(edges))
+    shuffled_verts = rng.sample(verts, len(verts))
+    # each edge line right after the later of its endpoints' vertex lines
+    at = {v.split()[1]: i for i, v in enumerate(verts)}
+    after: list[list[str]] = [[] for _ in verts]
+    for e in shuffled_edges:
+        after[max(at[end] for end in e.split()[1:3])].append(e)
+    interleaved = [ln for v, es in zip(verts, after) for ln in [v, *es]]
+    noisy = ["# generated", ""] + head + [
+        f"  {ln.replace(' ', '   ')}  # note" if i % 3 == 0 else ("\n" + ln if i % 3 == 1 else ln)
+        for i, ln in enumerate(verts + shuffled_edges)
+    ] + tail + ["", "# end"]
+    return ["\n".join(body) + "\n" for body in (
+        lines,
+        head + verts + shuffled_edges + tail,
+        head + interleaved + tail,
+        head + shuffled_verts + edges + tail,
+        noisy,
+    )]
+
+
+@pytest.mark.parametrize("gen", [gen_andor, gen_andor_tree, gen_xy, gen_xy_tree])
+def test_parse_pass_index_matches_the_dict_index(gen):
+    rng = Random(5)
+    # files of trees with 3,000 vertices span several of the 64 KiB pieces
+    sizes = [1 + trial * 3 for trial in range(12)] + ([3000] if gen in (gen_andor_tree, gen_xy_tree) else [])
+    for trial, n in enumerate(sizes):
+        cfg = GeneratorConfig(n=n, seed=trial, weight_lo=trial % 2, density=0.3)
+        g = gen(cfg)
+        for text in _rewrites(serialize_graph(g), rng):
+            parsed = parse_graph(text)
+            assert parsed == g
+            idx = parsed.index
+            ref = graphs._build_index(type(g)(g.labels, g.edges, g.source, g.zero_weights_allowed))
+            assert (idx.names, idx.adj, idx.src, idx.indeg, idx.xs) == (
+                ref.names, ref.adj, ref.src, ref.indeg, ref.xs)
+            # the order is topological and starts at the source
+            rank = {v: i for i, v in enumerate(idx.order)}
+            assert sorted(idx.order) == list(range(idx.n)) and idx.order[0] == idx.src
+            assert all(rank[t] < rank[h] for t, lst in enumerate(idx.adj) for h, _w in lst)
+
+
+def test_pieces_hold_the_lines_of_the_text():
+    rng = Random(9)
+    breaks = ["\n", "\n\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    for trial in range(40):
+        # only newlines in most texts, so they are cut; another break keeps one piece
+        alphabet = ["ab", " ", "#", "\n", breaks[trial % len(breaks)] if trial % 4 == 0 else "\n"]
+        text = "".join(rng.choice(alphabet) * rng.randint(1, 30) for _ in range(rng.randint(0, 9000)))
+        pieces = list(textio._pieces(text))
+        assert "".join(pieces) == text
+        assert [ln for p in pieces for ln in p.splitlines()] == text.splitlines()
 
 
 def test_parse_error_carries_line_number():
