@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -268,9 +269,9 @@ class _Indexed(NamedTuple):
 def pair_keys(keys) -> bool:
     """True when every edge key is a tuple of two endpoints.
 
-    One pass over the keys' types and one over their lengths.
+    One pass over the keys' types and one over their lengths, both in C.
     """
-    return all(issubclass(t, tuple) for t in set(map(type, keys))) and set(map(len, keys)) <= {2}
+    return all(map(issubclass, set(map(type, keys)), repeat(tuple))) and {2}.issuperset(map(len, keys))
 
 
 def _build_index(g: _Graph) -> _Indexed | None:
@@ -300,9 +301,7 @@ def _finish_index(g: _Graph, names: list[VertexId], labs: list, adj: list[list[t
     ``parse_graph`` as it reads.  Returns None when ``g`` breaks a rule of
     validation.  Labels are pairs in an ``XYGraph`` and "and"/"or"
     otherwise.  An order from the source that reaches all n vertices proves
-    acyclicity and reachability at once.  Id order is such an order when
-    the source is vertex 0, every other vertex has an in-edge and every
-    edge runs to a higher index; else Kahn's algorithm looks for one.
+    acyclicity and reachability at once.
     """
     weights = g.edges.values()
     if weights and not (plain_ints(weights)
@@ -312,18 +311,15 @@ def _finish_index(g: _Graph, names: list[VertexId], labs: list, adj: list[list[t
     for lst in adj:
         lst.sort()
     n = len(names)
-    if src == 0 and indeg.count(0) == 1 and all(v < lst[0][0] for v, lst in enumerate(adj) if lst):
-        order = list(range(n))
-    else:
-        order = [src]
-        deg = indeg[:]
-        for v in order:
-            for h, _w in adj[v]:
-                deg[h] -= 1
-                if deg[h] == 0:
-                    order.append(h)
-        if indeg[src] or len(order) != n:
-            return None
+    order = [src]
+    deg = indeg[:]
+    for v in order:
+        for h, _w in adj[v]:
+            deg[h] -= 1
+            if deg[h] == 0:
+                order.append(h)
+    if indeg[src] or len(order) != n:
+        return None
 
     if isinstance(g, XYGraph):
         cols = xy_columns(labs)

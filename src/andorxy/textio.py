@@ -49,33 +49,13 @@ class GraphFormatError(ValueError):
         super().__init__(where + message)
 
 
-def _pieces(text: str):
-    """``text`` in pieces of about 64 KiB, each ending just after a newline.
-
-    Splitting each piece gives the lines of ``text`` without a list of all
-    of them.  A text holding another break that ``str.splitlines`` knows
-    (``\\r``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, or a non-ASCII one) stays one piece.
-    """
-    if not text.isascii() or any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e")):
-        yield text
-        return
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + 65536) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def _significant_lines(text: str):
     """Yield (lineno, tokens, comment-free body) for non-blank lines."""
-    lineno = 0
-    for piece in _pieces(text):
-        for raw in piece.splitlines():
-            lineno += 1
-            body = raw.split("#", 1)[0] if "#" in raw else raw
-            tokens = body.split()
-            if tokens:
-                yield lineno, tokens, body
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0] if "#" in raw else raw
+        tokens = body.split()
+        if tokens:
+            yield lineno, tokens, body
 
 
 def _column(body: str, tokens: list[str]) -> int:

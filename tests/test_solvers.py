@@ -720,45 +720,3 @@ def test_exact_weight_with_heavy_weights_is_fast(base):
             assert verify_solution_xy(g, witness)[:2] == (True, k)
     assert time.perf_counter() - start < 1.0
 
-
-def _kahn_order(idx):
-    order, deg = [idx.src], idx.indeg[:]
-    for v in order:
-        for h, _w in idx.adj[v]:
-            deg[h] -= 1
-            if deg[h] == 0:
-                order.append(h)
-    return order
-
-
-def _runs(g):
-    if isinstance(g, XYGraph):
-        out = [solve_exact_xy(g)]
-        if solvers._is_out_tree(g.index):
-            out.append(solve_xy_tree(g))
-            if not g.zero_weights_allowed:  # the exact-weight decision takes positive weights
-                out += [decide_exact_weight_xy_tree(g, k) for k in range(12)]
-        return out
-    ub = dp_upper_bound(g)
-    out = [solve_exact_andor(g), ub, schedule_lower_bound(g),
-           decide_min_andor(g, ub.optimum), decide_min_andor(g, ub.optimum // 2)]
-    if solvers._is_out_tree(g.index):
-        out.append(solve_andor_tree(g))
-    return out
-
-
-def test_solvers_agree_under_kahn_and_id_order():
-    """Any topological order gives the same optima, witnesses, nodes and prunes."""
-    differ = 0
-    for trial in range(40):
-        cfg = GeneratorConfig(n=1 + trial % 11, seed=trial, weight_lo=trial % 2,
-                              density=(0.2, 0.5)[trial % 2])
-        for make in (gen_andor, gen_xy, gen_andor_tree, gen_xy_tree):
-            g = make(cfg)
-            idx = g.index
-            assert idx.order == list(range(idx.n))  # generated ids are in topological order
-            kahn = fresh(g)
-            vars(kahn)["index"] = idx._replace(order=_kahn_order(idx))
-            differ += kahn.index.order != idx.order
-            assert _runs(kahn) == _runs(g)
-    assert differ > 40

@@ -18,7 +18,7 @@ from andorxy import (
     serialize_graph,
     serialize_solution,
 )
-from andorxy import graphs, textio
+from andorxy import graphs
 from andorxy.generators import (
     GeneratorConfig,
     gen_andor,
@@ -154,9 +154,7 @@ def _rewrites(text: str, rng: Random) -> list[str]:
 @pytest.mark.parametrize("gen", [gen_andor, gen_andor_tree, gen_xy, gen_xy_tree])
 def test_parse_pass_index_matches_the_dict_index(gen):
     rng = Random(5)
-    # files of trees with 3,000 vertices span several of the 64 KiB pieces
-    sizes = [1 + trial * 3 for trial in range(12)] + ([3000] if gen in (gen_andor_tree, gen_xy_tree) else [])
-    for trial, n in enumerate(sizes):
+    for trial, n in enumerate(1 + trial * 3 for trial in range(12)):
         cfg = GeneratorConfig(n=n, seed=trial, weight_lo=trial % 2, density=0.3)
         g = gen(cfg)
         for text in _rewrites(serialize_graph(g), rng):
@@ -170,18 +168,6 @@ def test_parse_pass_index_matches_the_dict_index(gen):
             rank = {v: i for i, v in enumerate(idx.order)}
             assert sorted(idx.order) == list(range(idx.n)) and idx.order[0] == idx.src
             assert all(rank[t] < rank[h] for t, lst in enumerate(idx.adj) for h, _w in lst)
-
-
-def test_pieces_hold_the_lines_of_the_text():
-    rng = Random(9)
-    breaks = ["\n", "\n\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
-    for trial in range(40):
-        # only newlines in most texts, so they are cut; another break keeps one piece
-        alphabet = ["ab", " ", "#", "\n", breaks[trial % len(breaks)] if trial % 4 == 0 else "\n"]
-        text = "".join(rng.choice(alphabet) * rng.randint(1, 30) for _ in range(rng.randint(0, 9000)))
-        pieces = list(textio._pieces(text))
-        assert "".join(pieces) == text
-        assert [ln for p in pieces for ln in p.splitlines()] == text.splitlines()
 
 
 def test_parse_error_carries_line_number():
