@@ -2,10 +2,9 @@
 
 Exit codes are the machine-readable channel: 0 = success or decision YES,
 1 = decision NO, 2 = invalid input, 3 = an internal limit was hit (weight
-overflow, solver budget, or a search deeper than the recursion limit),
-4 = internal error (any other exception, such as running out of memory;
-one stderr line names it).  Values go to standard output in decimal;
-diagnostics and progress go to standard error.
+overflow or solver budget), 4 = internal error (any other exception, such
+as running out of memory; one stderr line names it).  Values go to standard
+output in decimal; diagnostics and progress go to standard error.
 
 Each command imports the modules it runs inside its handler, so a process
 loads only those.
@@ -329,10 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         return LIMIT
     except OverflowError as exc:
         print(str(exc), file=sys.stderr)
-        return LIMIT
-    except RecursionError:
-        print("search too deep: the interpreter's recursion limit was reached",
-              file=sys.stderr)
         return LIMIT
     except OSError as exc:
         print(str(exc), file=sys.stderr)

@@ -75,11 +75,15 @@ def _dag_edges(cfg: GeneratorConfig, rng: Random, ids: list[str]) -> dict[Edge, 
     span = cfg.weight_hi - lo + 1
     getrandbits, random = rng.getrandbits, rng.random
     edges = _tree_edges(cfg, rng, ids)
+    # the backbone holds one in-edge per head, in head order: pair (i, j) is
+    # on it exactly when i is j's parent, and draws no optional edge
+    at = dict(zip(ids, range(n)))
+    parent = [-1] + [at[t] for t, _h in edges]
     for i in range(n):
+        tail = ids[i]
         for j in range(i + 1, n):
-            e = (ids[i], ids[j])
-            if e not in edges and random() < density:
-                edges[e] = lo + _below(getrandbits, span)
+            if parent[j] != i and random() < density:
+                edges[(tail, ids[j])] = lo + _below(getrandbits, span)
     return edges
 
 

@@ -10,13 +10,14 @@ sharing and the true weight of the edges it picks bounds the optimum from
 above.  A second recurrence, the x-th smallest option, gives the
 completion-time lower bound.  The exact branch-and-bound search over choice
 vertices cannot memoize: the cost of a subgraph depends on which edges the
-rest of the solution already pays for.
+rest of the solution already pays for.  It runs on an explicit stack of
+frames, not by recursion, so no interpreter limit caps its depth.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import accumulate, combinations
 from time import monotonic
 from typing import NamedTuple
 
@@ -231,15 +232,8 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
     return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
 
 
-_OP_EDGE, _OP_VERT, _OP_PEND, _OP_UNPEND = 0, 1, 2, 3
-
-
-class _Decided(Exception):
-    """A search with a cap reached a solution lighter than the cap."""
-
-
 def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) -> SolveResult:
-    """Branch-and-bound over choice-vertex decisions.
+    """Branch-and-bound over choice-vertex decisions, on an explicit stack.
 
     A partial state commits edges forced by fully-determined vertices and
     keeps undecided choice vertices pending.  The bound adds, per pending
@@ -248,33 +242,20 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     a completion.  Correctness does not depend on how sharp the bound is.
     No memoization: shared substructure makes subproblem costs non-additive.
 
+    The search is one loop over a stack of frames, one per decided vertex,
+    so its depth is bounded by memory and not by the recursion limit.  A
+    frame holds the vertex, an iterator over its options and the state to
+    restore before each option: the lengths of three flat trails (committed
+    edge ids, included vertices, vertices made pending), which are undone
+    by slicing them off, and the committed weight and pending floor.  An
+    edge is committed at most once on a path, by its tail, so the edge
+    trail is also the witness of a leaf.
+
     With ``cap`` the result only decides whether some solution is lighter
     than ``cap``: the search stops at the first such solution, and the
     result's weight is below ``cap`` exactly when one exists.
     """
-    adj, xs = idx.adj, idx.xs
-    n = idx.n
-    offs = [0] * (n + 1)
-    for v in range(n):
-        offs[v + 1] = offs[v] + len(adj[v])
-    ecount = offs[n]
-    ehead = [0] * ecount
-    ew = [0] * ecount
-    etail = [0] * ecount
-    for v in range(n):
-        base = offs[v]
-        for j, (h, w) in enumerate(adj[v]):
-            ehead[base + j] = h
-            ew[base + j] = w
-            etail[base + j] = v
-
     tsch = _schedule(idx)
-    minw = [0] * n
-    for v in range(n):
-        x = xs[v]
-        if x:
-            minw[v] = sum(sorted(w for _h, w in adj[v])[:x])
-
     ub_w, ub_pairs = _sharing_blind(idx)
     bar = ub_w if cap is None else cap  # only solutions lighter than bar matter
     if not tsch[idx.src] < bar <= ub_w:
@@ -286,112 +267,126 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
         if budget_s <= 0 or monotonic() > deadline:
             raise BudgetExceededError("exact solve exceeded its time budget")
 
-    included = bytearray(n)
-    in_sol = bytearray(ecount)
-    pending: set[int] = set()
-    trail: list[tuple[int, int]] = []
-    state = [0, 0]  # committed weight, sum of pending floors
-    best = [bar, ub_pairs]  # weight to beat, (tail, head) index pairs
-    counters = [0, 0]  # nodes, prunes
+    # edge ids: v's out-edges are offs[v] .. offs[v + 1] - 1, in adj order
+    adj, xs = idx.adj, idx.xs
+    n = idx.n
+    offs = [0, *accumulate(map(len, adj))]
+    ehead = [h for lst in adj for h, _w in lst]
+    ew = [w for lst in adj for _h, w in lst]
+    etail = [v for v, lst in enumerate(adj) for _e in lst]
+    minw = [0] * n  # a choice vertex's x cheapest out-edge weights: its pending floor
+    top = [0] * n  # a choice vertex's estimate while none of its heads is included
+    # a vertex that takes all its out-edges commits their ids, weight and heads
+    forced: list = [None] * n
+    for v in range(n):
+        x = xs[v]
+        lst = adj[v]
+        if x and x == len(lst):
+            forced[v] = (range(offs[v], offs[v + 1]), sum(w for _h, w in lst), [h for h, _w in lst])
+        elif x:
+            minw[v] = sum(sorted(w for _h, w in lst)[:x])
+            top[v] = sum(sorted(w + tsch[h] for h, w in lst)[:x])
 
-    def include(v0: int) -> None:
-        stack = [v0]
-        while stack:
-            v = stack.pop()
+    included = bytearray(n)
+    pending: set[int] = set()
+    etrail: list[int] = []  # committed edge ids
+    itrail: list[int] = []  # included vertices
+    ptrail: list[int] = []  # vertices made pending
+    cw = pf = 0  # committed weight, sum of pending floors
+    nodes = prunes = 0
+    best: list[int] | None = None  # the edge ids of the lightest solution found
+    frames: list[tuple] = []
+    todo = [idx.src]  # heads of newly committed edges, to include with their forced closure
+    while True:
+        while todo:
+            v = todo.pop()
             if included[v]:
                 continue
             included[v] = 1
-            trail.append((_OP_VERT, v))
-            x = xs[v]
-            if x == 0:
-                continue
-            base = offs[v]
-            top = offs[v + 1]
-            if x == top - base:
-                for eid in range(base, top):
-                    if not in_sol[eid]:
-                        in_sol[eid] = 1
-                        state[0] += ew[eid]
-                        trail.append((_OP_EDGE, eid))
-                        stack.append(ehead[eid])
-            else:
+            itrail.append(v)
+            f = forced[v]
+            if f is not None:
+                eids, w, heads = f
+                etrail += eids
+                cw += w
+                todo += heads
+            elif xs[v]:
                 pending.add(v)
-                state[1] += minw[v]
-                trail.append((_OP_PEND, v))
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            op, a = trail.pop()
-            if op == _OP_EDGE:
-                in_sol[a] = 0
-                state[0] -= ew[a]
-            elif op == _OP_VERT:
-                included[a] = 0
-            elif op == _OP_PEND:
-                pending.discard(a)
-                state[1] -= minw[a]
+                ptrail.append(v)
+                pf += minw[v]
             else:
-                pending.add(a)
-                state[1] += minw[a]
+                continue
+            if cw + pf >= bar:
+                del todo[:]  # the rest of the closure only adds weight: the node is pruned
+                break
 
-    def estimate(u: int) -> int:
-        vals = sorted(
-            w + (0 if included[h] else tsch[h]) for h, w in adj[u]
-        )
-        return sum(vals[: xs[u]])
-
-    def search() -> None:
-        counters[0] += 1
-        if deadline is not None and counters[0] & 63 == 0 and monotonic() > deadline:
+        nodes += 1
+        if deadline is not None and nodes & 63 == 0 and monotonic() > deadline:
             raise BudgetExceededError("exact solve exceeded its time budget")
-        if state[0] + state[1] >= best[0]:
-            counters[1] += 1
-            return
-        if not pending:
-            best[0] = state[0]
-            best[1] = [(etail[i], ehead[i]) for i in range(ecount) if in_sol[i]]
+        if cw + pf >= bar:
+            prunes += 1
+        elif not pending:
+            bar = cw
+            best = etrail[:]
             if cap is not None:
-                raise _Decided
-            return
-        # fail-first: decide the pending vertex with the costliest cheap completion
-        v = -1
-        vkey = None
-        for u in pending:
-            key = (estimate(u), -u)
-            if vkey is None or key > vkey:
-                vkey = key
-                v = u
-        pending.discard(v)
-        state[1] -= minw[v]
-        trail.append((_OP_UNPEND, v))
-
-        lst = adj[v]
-        base = offs[v]
-        x = xs[v]
-        opt_vals = [w + (0 if included[h] else tsch[h]) for h, w in lst]
-        if x == 1:
-            opts: list[tuple[int, ...]] = [(j,) for j in sorted(range(len(lst)), key=lambda j: (opt_vals[j], j))]
+                break  # the decision is settled
         else:
-            opts = sorted(combinations(range(len(lst)), x), key=lambda c: (sum(opt_vals[j] for j in c), c))
-        for combo in opts:
-            mark = len(trail)
-            for j in combo:
-                eid = base + j
-                if not in_sol[eid]:
-                    in_sol[eid] = 1
-                    state[0] += ew[eid]
-                    trail.append((_OP_EDGE, eid))
-                    include(ehead[eid])
-            search()
-            undo(mark)
+            # fail-first: decide the pending vertex with the costliest cheap
+            # completion, ties to the smaller id
+            v = -1
+            vest = -1
+            for u in pending:
+                if top[u] < vest or (top[u] == vest and u > v):
+                    continue  # its estimate cannot beat v's
+                vals = [w + (0 if included[h] else tsch[h]) for h, w in adj[u]]
+                x = xs[u]
+                est = min(vals) if x == 1 else sum(sorted(vals)[:x])
+                if est > vest or (est == vest and u < v):
+                    v = u
+                    vest = est
+                    opt_vals = vals
+            pending.discard(v)
+            pf -= minw[v]
+            x = xs[v]
+            eids = range(offs[v], offs[v + 1])
+            if x == 1:  # (value, edge id) pairs
+                opts: list = sorted(zip(opt_vals, eids))
+            else:  # (sum, x-subset of edge ids) pairs: ties in lexicographic order
+                opts = sorted(zip(map(sum, combinations(opt_vals, x)), combinations(eids, x)))
+            frames.append((v, x, iter(opts), len(etrail), len(itrail), len(ptrail), cw, pf))
 
-    include(idx.src)
-    try:
-        search()
-    except _Decided:
-        pass  # the decision is settled; the trail is not needed any more
-    weight = ub_w if best[1] is ub_pairs else best[0]
-    return SolveResult(weight, _witness(idx, best[1]), nodes=counters[0], prunes=counters[1])
+        # restore the innermost frame's state and commit its next option;
+        # a frame without one is popped and its vertex pending again
+        while frames:
+            v, x, it, me, mi, mp, cw, pf = frames[-1]
+            del etrail[me:]
+            for u in itrail[mi:]:
+                included[u] = 0
+            del itrail[mi:]
+            pending.difference_update(ptrail[mp:])
+            del ptrail[mp:]
+            opt = next(it, None)
+            if opt is None:
+                frames.pop()
+                pending.add(v)
+                continue
+            if x == 1:
+                e = opt[1]
+                etrail.append(e)
+                cw += ew[e]
+                todo.append(ehead[e])
+            else:
+                for e in opt[1]:
+                    etrail.append(e)
+                    cw += ew[e]
+                    todo.append(ehead[e])
+            break
+        else:
+            break
+
+    if best is None:
+        return SolveResult(ub_w, _witness(idx, ub_pairs), nodes=nodes, prunes=prunes)
+    return SolveResult(bar, _witness(idx, [(etail[e], ehead[e]) for e in best]), nodes=nodes, prunes=prunes)
 
 
 def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResult:

@@ -70,7 +70,7 @@ def _check_id(tok: str, lineno: int) -> str:
 
 
 def _check_uint(tok: str, what: str, lineno: int) -> int:
-    if not tok.isdigit():
+    if not (tok.isdecimal() and tok.isascii()):  # int() also reads digits such as '٣'
         raise GraphFormatError(f"bad {what} {tok!r}, expected a nonnegative integer", lineno)
     return int(tok)
 

@@ -5,6 +5,8 @@ subsets) on small instances, which is the only ground truth available for
 an NP-hard problem.  Everything else hangs off that anchor.
 """
 
+import inspect
+import sys
 import time
 from random import Random
 
@@ -533,6 +535,30 @@ def test_budget_zero_raises_when_search_is_needed():
 def test_budget_zero_still_returns_when_bounds_close_the_gap():
     g = aog({"s": OR, "a": OR, "b": OR}, {("s", "a"): 2, ("s", "b"): 3})
     assert solve_exact_andor(g, budget_s=0).optimum == 2
+
+
+def test_deep_search_runs_out_of_budget_not_of_stack():
+    # an and-source over 1500 or-vertices, each choosing between a shared
+    # and-vertex and its own sink: the search branches 1500 decisions deep
+    m = 1500
+    labels = {"s": AND, "c": AND, "z": OR}
+    edges = {("c", "z"): m // 2}
+    for i in range(m):
+        o, t = f"o{i:04d}", f"t{i:04d}"
+        labels[o] = labels[t] = OR
+        edges.update({("s", o): 1, (o, "c"): 1, (o, t): 2})
+    g = aog(labels, edges)
+    # a recursion limit 60 frames above this one: a search that recursed
+    # per decision would overflow it within the first hundred nodes
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceededError):
+            solve_exact_andor(g, budget_s=1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert time.perf_counter() - start < 1.5
 
 
 def test_overflow_reported_on_doubling_dag():

@@ -103,6 +103,13 @@ def test_parse_errors(text, msg):
         ("andor\nv a and\nv b or\ne a b 1\ne a b 2\ns a\n", "line 5: duplicate edge (a, b)"),
         ("andor\nv a and\nv b or\ne a b x\ns a\n",
          "line 4: bad weight 'x', expected a nonnegative integer"),
+        # digits outside ASCII, which str.isdigit or int() would take
+        ("andor\nv a and\nv b or\ne a b \u00b2\ns a\n",
+         "line 4: bad weight '\u00b2', expected a nonnegative integer"),
+        ("xy\nv a \u00b2 1\nv b 0 0\ne a b 1\ns a\n",
+         "line 2: bad x value '\u00b2', expected a nonnegative integer"),
+        ("xy\nv a 1 \u0663\nv b 0 0\ne a b 1\ns a\n",
+         "line 2: bad y value '\u0663', expected a nonnegative integer"),
         ("andor\nv a and\nv b or\ne b a 1\ns a\n",
          "invalid graph: source a has in-degree 1; unreachable: b"),
         ("xy\nv a 1 1\nv b 0 0\nv c 0 0\ne a b 1\ne a c 1\ns a\n",
@@ -110,6 +117,10 @@ def test_parse_errors(text, msg):
         # out of id order, so validation indexes the dicts
         ("andor\nv b or\nv a and\ne a c 1\ns a\n", "line 4: edge references undeclared vertex c"),
         ("andor\nv b or\nv a and\nv b or\ns a\n", "line 4: duplicate vertex b"),
+        ("andor\nv b or\nv a and\ne a b \u0663\ns a\n",
+         "line 4: bad weight '\u0663', expected a nonnegative integer"),
+        ("xy\nv b 0 0\nv a 1 \u00b2\ne a b 1\ns a\n",
+         "line 3: bad y value '\u00b2', expected a nonnegative integer"),
         ("andor\nv b or\nv a and\ne a b 1\ns c\n", "line 5: source c is not a declared vertex"),
         ("andor\nv b or\nv a and\ne b a 1\ns a\n",
          "invalid graph: source a has in-degree 1; unreachable: b"),
