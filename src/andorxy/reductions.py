@@ -197,6 +197,8 @@ def reduce_dominating_set(q: SimpleGraph, c: int) -> ReductionArtifact:
     if c < 0:
         raise ValueError("c must be nonnegative")
     names = sorted(q.vertices)
+    if c > len(names):
+        raise ValueError(f"c = {c} exceeds the number of vertices {len(names)}")
     labels: dict[VertexId, str] = {"s": AND}
     edges: dict[Edge, int] = {}
     id_map: dict[str, VertexId] = {}
@@ -313,23 +315,26 @@ def serialize_simple_graph(g: SimpleGraph) -> str:
 
 
 def parse_subset_sum(text: str) -> SubsetSumInstance:
-    """Two significant lines: `p q`, then the whitespace-separated z values."""
+    """Two significant lines: `p q`, then the whitespace-separated z values.
+
+    Every token is a run of ASCII digits, as in the graph format; ``int()``
+    alone would also read '٣', '1_0' and '+4'.
+    """
     lines = []
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((ln, line.split()))
     if len(lines) != 2:
         raise ValueError(f"expected 2 significant lines (p q, then values), got {len(lines)}")
-    head = lines[0].split()
-    if len(head) != 2:
+    if len(lines[0][1]) != 2:
         raise ValueError("first line must be: <p> <q>")
-    try:
-        p, q = int(head[0]), int(head[1])
-        z = tuple(int(t) for t in lines[1].split())
-    except ValueError as exc:
-        raise ValueError(f"non-integer token: {exc}") from None
-    return SubsetSumInstance(z, p, q)
+    for ln, toks in lines:
+        for tok in toks:
+            if not (tok.isdecimal() and tok.isascii()):
+                raise ValueError(f"line {ln}: non-integer token {tok!r}")
+    p, q = map(int, lines[0][1])
+    return SubsetSumInstance(tuple(map(int, lines[1][1])), p, q)
 
 
 def serialize_mapping(id_map: dict[str, VertexId]) -> str:

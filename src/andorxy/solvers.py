@@ -10,14 +10,18 @@ sharing and the true weight of the edges it picks bounds the optimum from
 above.  A second recurrence, the x-th smallest option, gives the
 completion-time lower bound.  The exact branch-and-bound search over choice
 vertices cannot memoize: the cost of a subgraph depends on which edges the
-rest of the solution already pays for.  It runs on an explicit stack of
-frames, not by recursion, so no interpreter limit caps its depth.
+rest of the solution already pays for.  It takes a one-edge choice without
+branching when the cheapest edge leads into a sink or into a vertex the
+solution already holds, since no other edge can do better there.  It runs
+on an explicit stack of frames, not by recursion, so no interpreter limit
+caps its depth.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import accumulate, combinations
+from math import isnan
 from time import monotonic
 from typing import NamedTuple
 
@@ -236,25 +240,52 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     """Branch-and-bound over choice-vertex decisions, on an explicit stack.
 
     A partial state commits edges forced by fully-determined vertices and
-    keeps undecided choice vertices pending.  The bound adds, per pending
-    vertex, the sum of its x cheapest out-edge weights; those edges are
-    pairwise distinct and not yet committed, so the bound never overshoots
-    a completion.  Correctness does not depend on how sharp the bound is.
-    No memoization: shared substructure makes subproblem costs non-additive.
+    keeps undecided choice vertices pending.  The bound ``lb`` is the
+    committed weight plus, per pending vertex, the sum of its x cheapest
+    out-edge weights; those edges are pairwise distinct and not yet
+    committed, so the bound never overshoots a completion.  Correctness does
+    not depend on how sharp the bound is.  No memoization: shared
+    substructure makes subproblem costs non-additive.
+
+    A choice vertex that takes one edge is decided free, without a frame,
+    when an edge of its least weight leads into a vertex the solution
+    already holds or into one with no obligations: any completion through
+    another of its edges weighs at least as much, and stays feasible once
+    the parts only that edge reached are dropped.  An edge into a sink is
+    taken as if forced; an edge into an included vertex is taken when the
+    tail becomes pending, or when that head is included (each head lists
+    the cheap edges that wait on it).  Either way ``lb`` stays as it was.
+
+    Tie rule: the sharing-blind witness stands unless the search finds a
+    lighter solution, and of equal-weight solutions the first found is
+    kept.  The search decides fail-first (the pending vertex with the
+    costliest cheap completion, ties to the smaller id) and tries options
+    in ascending estimate, ties in edge-id order.  A free choice takes the
+    first cheapest edge into a sink, else the first cheapest edge into an
+    included vertex, else the edge into the vertex whose inclusion freed it.
 
     The search is one loop over a stack of frames, one per decided vertex,
     so its depth is bounded by memory and not by the recursion limit.  A
-    frame holds the vertex, an iterator over its options and the state to
-    restore before each option: the lengths of three flat trails (committed
-    edge ids, included vertices, vertices made pending), which are undone
-    by slicing them off, and the committed weight and pending floor.  An
-    edge is committed at most once on a path, by its tail, so the edge
-    trail is also the witness of a leaf.
+    frame holds the vertex's key, an iterator over its options (x-subsets
+    of its out-edge positions), each out-edge's floor and the state to
+    restore before each option: the lengths of four flat trails (committed
+    edge ids, included vertices, keys made pending, keys decided free),
+    which are undone by slicing them off, and ``lb``.  An edge is committed
+    at most once on a path, by its tail, so the edge trail is also the
+    witness of a leaf.  An edge's floor is its weight plus, for a head not
+    yet included, what including the head adds to ``lb`` at least; an
+    option whose floors bring ``lb`` to the bar is counted as the pruned
+    node its closure would have been, without running that closure.  The
+    fail-first scan walks pending vertices by falling ``top``, an upper
+    bound on their estimate, and stops at the first that cannot win.
+    None of these cuts changes the nodes or prunes counted.
 
     With ``cap`` the result only decides whether some solution is lighter
     than ``cap``: the search stops at the first such solution, and the
     result's weight is below ``cap`` exactly when one exists.
     """
+    if budget_s is not None and isnan(budget_s):
+        raise ValueError("budget must be a number of seconds, got nan")
     tsch = _schedule(idx)
     ub_w, ub_pairs = _sharing_blind(idx)
     bar = ub_w if cap is None else cap  # only solutions lighter than bar matter
@@ -268,7 +299,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
             raise BudgetExceededError("exact solve exceeded its time budget")
 
     # edge ids: v's out-edges are offs[v] .. offs[v + 1] - 1, in adj order
-    adj, xs = idx.adj, idx.xs
+    adj, xs, indeg = idx.adj, idx.xs, idx.indeg
     n = idx.n
     offs = [0, *accumulate(map(len, adj))]
     ehead = [h for lst in adj for h, _w in lst]
@@ -276,23 +307,66 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     etail = [v for v, lst in enumerate(adj) for _e in lst]
     minw = [0] * n  # a choice vertex's x cheapest out-edge weights: its pending floor
     top = [0] * n  # a choice vertex's estimate while none of its heads is included
-    # a vertex that takes all its out-edges commits their ids, weight and heads
+    # a vertex that takes all its out-edges, or a one-edge choice vertex with
+    # a cheapest edge into a sink (decided free), commits their ids, weight
+    # and heads
     forced: list = [None] * n
-    for v in range(n):
+    cheap: list = [()] * n  # a one-edge choice vertex's cheapest edges
+    # icost[v]: what including v adds to lb at least, following in-degree-1
+    # heads, which nothing else can have included; down[v] is icost[v] when
+    # v has in-degree 1 and 0 otherwise
+    icost = [0] * n
+    down = [0] * n
+    choice = []
+    for v in reversed(idx.order):
         x = xs[v]
-        lst = adj[v]
-        if x and x == len(lst):
-            forced[v] = (range(offs[v], offs[v + 1]), sum(w for _h, w in lst), [h for h, _w in lst])
-        elif x:
-            minw[v] = sum(sorted(w for _h, w in lst)[:x])
-            top[v] = sum(sorted(w + tsch[h] for h, w in lst)[:x])
+        if not x:
+            continue
+        lo, hi = offs[v], offs[v + 1]
+        ws = ew[lo:hi]
+        if x == hi - lo:
+            c = sum(ws)
+            heads = ehead[lo:hi]
+            forced[v] = (range(lo, hi), c, heads)
+            for h in heads:
+                c += down[h]
+        elif x == 1:
+            c = min(ws)
+            es = [e for e in range(lo, hi) if ew[e] == c]
+            e = next((e for e in es if not xs[ehead[e]]), None)
+            if e is not None:
+                forced[v] = ((e,), c, [ehead[e]])
+            else:
+                cheap[v] = es
+                minw[v] = c
+                top[v] = min([w + tsch[h] for h, w in adj[v]])
+                choice.append(v)
+        else:
+            c = minw[v] = sum(sorted(ws)[:x])
+            top[v] = sum(sorted([w + tsch[h] for h, w in adj[v]])[:x])
+            choice.append(v)
+        icost[v] = c
+        if indeg[v] == 1:
+            down[v] = c
+    # pending holds keys, which rank choice vertices by falling top, then id
+    ranked = sorted(choice, key=lambda v: (-top[v], v))
+    key = [0] * n
+    waiters: list = [None] * n  # (tail key, edge id) of the cheap edges into a head
+    for k, v in enumerate(ranked):
+        key[v] = k
+        for e in cheap[v]:
+            h = ehead[e]
+            if waiters[h] is None:
+                waiters[h] = []
+            waiters[h].append((k, e))
 
     included = bytearray(n)
     pending: set[int] = set()
     etrail: list[int] = []  # committed edge ids
     itrail: list[int] = []  # included vertices
-    ptrail: list[int] = []  # vertices made pending
-    cw = pf = 0  # committed weight, sum of pending floors
+    ptrail: list[int] = []  # keys made pending
+    ftrail: list[int] = []  # keys decided free while pending
+    lb = 0  # committed weight plus pending floors
     nodes = prunes = 0
     best: list[int] | None = None  # the edge ids of the lightest solution found
     frames: list[tuple] = []
@@ -308,78 +382,107 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
             if f is not None:
                 eids, w, heads = f
                 etrail += eids
-                cw += w
+                lb += w
                 todo += heads
             elif xs[v]:
-                pending.add(v)
-                ptrail.append(v)
-                pf += minw[v]
+                lb += minw[v]
+                for e in cheap[v]:
+                    if included[ehead[e]]:
+                        etrail.append(e)  # decided free
+                        break
+                else:
+                    k = key[v]
+                    pending.add(k)
+                    ptrail.append(k)
             else:
                 continue
-            if cw + pf >= bar:
+            wait = waiters[v]
+            if wait:
+                for k, e in wait:
+                    if k in pending:  # decided free
+                        pending.discard(k)
+                        ftrail.append(k)
+                        etrail.append(e)
+            if lb >= bar:
                 del todo[:]  # the rest of the closure only adds weight: the node is pruned
                 break
 
         nodes += 1
         if deadline is not None and nodes & 63 == 0 and monotonic() > deadline:
             raise BudgetExceededError("exact solve exceeded its time budget")
-        if cw + pf >= bar:
+        if lb >= bar:
             prunes += 1
         elif not pending:
-            bar = cw
+            bar = lb
             best = etrail[:]
             if cap is not None:
                 break  # the decision is settled
         else:
             # fail-first: decide the pending vertex with the costliest cheap
-            # completion, ties to the smaller id
+            # completion, ties to the smaller id; top bounds that estimate,
+            # so the walk by falling top stops at the first that cannot win
             v = -1
             vest = -1
-            for u in pending:
+            for k in sorted(pending):
+                u = ranked[k]
                 if top[u] < vest or (top[u] == vest and u > v):
-                    continue  # its estimate cannot beat v's
+                    break
                 vals = [w + (0 if included[h] else tsch[h]) for h, w in adj[u]]
                 x = xs[u]
                 est = min(vals) if x == 1 else sum(sorted(vals)[:x])
                 if est > vest or (est == vest and u < v):
                     v = u
                     vest = est
+                    vk = k
                     opt_vals = vals
-            pending.discard(v)
-            pf -= minw[v]
+            pending.discard(vk)
+            lb -= minw[v]
             x = xs[v]
-            eids = range(offs[v], offs[v + 1])
-            if x == 1:  # (value, edge id) pairs
-                opts: list = sorted(zip(opt_vals, eids))
-            else:  # (sum, x-subset of edge ids) pairs: ties in lexicographic order
-                opts = sorted(zip(map(sum, combinations(opt_vals, x)), combinations(eids, x)))
-            frames.append((v, x, iter(opts), len(etrail), len(itrail), len(ptrail), cw, pf))
+            # options are x-subsets of positions in adj[v]; each position's
+            # floor is its edge weight plus what including its head costs
+            ys = range(len(opt_vals))
+            if x == 1:  # (value, (position,)) pairs
+                opts: list = sorted(zip(opt_vals, zip(ys)))
+            else:  # (sum, x-subset of positions) pairs: ties in lexicographic order
+                opts = sorted(zip(map(sum, combinations(opt_vals, x)), combinations(ys, x)))
+            floors = [w + (0 if included[h] else icost[h]) for h, w in adj[v]]
+            frames.append((vk, iter(opts), floors, offs[v], len(etrail), len(itrail), len(ptrail),
+                           len(ftrail), lb))
 
-        # restore the innermost frame's state and commit its next option;
-        # a frame without one is popped and its vertex pending again
+        # restore the innermost frame's state and commit its next option; an
+        # option whose floor brings lb to the bar counts as the pruned node
+        # its closure would have been; a frame without options is popped and
+        # its vertex pending again
         while frames:
-            v, x, it, me, mi, mp, cw, pf = frames[-1]
+            vk, it, floors, lo, me, mi, mp, mf, lb = frames[-1]
             del etrail[me:]
             for u in itrail[mi:]:
                 included[u] = 0
             del itrail[mi:]
+            if len(ftrail) > mf:
+                pending.update(ftrail[mf:])
+                del ftrail[mf:]
             pending.difference_update(ptrail[mp:])
             del ptrail[mp:]
-            opt = next(it, None)
-            if opt is None:
-                frames.pop()
-                pending.add(v)
-                continue
-            if x == 1:
-                e = opt[1]
-                etrail.append(e)
-                cw += ew[e]
-                todo.append(ehead[e])
+            for _val, js in it:
+                floor = lb
+                for j in js:
+                    floor += floors[j]
+                if floor < bar:
+                    break
+                nodes += 1
+                prunes += 1
+                if deadline is not None and nodes & 63 == 0 and monotonic() > deadline:
+                    raise BudgetExceededError("exact solve exceeded its time budget")
             else:
-                for e in opt[1]:
-                    etrail.append(e)
-                    cw += ew[e]
-                    todo.append(ehead[e])
+                frames.pop()
+                pending.add(vk)
+                continue
+            for j in js:
+                e = lo + j
+                etrail.append(e)
+                lb += ew[e]
+                todo.append(ehead[e])
             break
         else:
             break
@@ -395,7 +498,7 @@ def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResu
     Branches over the out-edge choices of or-vertices that are reachable
     under the partial assignment, pruning with a weight-safe frontier bound.
     ``budget_s`` caps wall-clock time; exceeding it raises, never returns a
-    wrong value.
+    wrong value.  A NaN budget raises ValueError.
     """
     return _exact_min(_index(g, AndOrGraph), budget_s)
 

@@ -199,6 +199,14 @@ def test_solve_budget_zero_is_limit_exit(run):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("graph", [DIAMOND, TREE])
+def test_solve_nan_budget_is_invalid_exit(run, graph):
+    # rejected before the bounds could settle the answer, so a tree is no exception
+    code, out, err = run("solve", "g.txt", "--budget", "nan", files={"g.txt": graph})
+    assert (code, out) == (2, "")
+    assert err == "budget must be a number of seconds, got nan\n"
+
+
 def test_solve_overflow_is_limit_exit(run):
     lines = ["andor"]
     prev = "s"
@@ -220,7 +228,9 @@ def test_solve_overflow_is_limit_exit(run):
 def _hub(k):
     """And-source over k or-vertices, each choosing between a shared and-vertex
     (weight 1, plus one weight-k/2 edge below it) and its own sink (weight 2).
-    The exact search branches once per or-vertex, one frame deeper each time."""
+    The exact search first descends one frame per or-vertex, each taking its
+    sink; once an option includes the shared vertex, every or-vertex still
+    pending takes its weight-1 edge into it without a frame."""
     vs = ["v s and", "v c and", "v z or"]
     es = [f"e c z {k // 2}"]
     for i in range(k):
@@ -361,6 +371,15 @@ def test_reduce_malformed_source(run):
     assert code == 2 and "self-loop" in err
     code, _, err = run("reduce", "ss", "bad.txt", files={"bad.txt": "1 2 3\n"})
     assert code == 2
+
+
+def test_reduce_out_of_domain_inputs_exit_2_with_one_line(run):
+    code, out, err = run("reduce", "ds", "k3.txt", "--c", "99999999999999999999",
+                         files={"k3.txt": K3_EDGES})
+    assert (code, out) == (2, "")
+    assert err == "c = 99999999999999999999 exceeds the number of vertices 3\n"
+    code, out, err = run("reduce", "ss", "i.txt", files={"i.txt": "1 \u0663\n\u0663 1_0 +4\n"})
+    assert (code, out, err) == (2, "", "line 1: non-integer token '\u0663'\n")
 
 
 def test_reduce_then_solve_then_extract_vc(run, tmp_path):

@@ -1,6 +1,7 @@
 """Hardness gadgets: constructions, thresholds, and certificate extraction."""
 
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -252,6 +253,14 @@ def test_ds_rejects_negative_budget():
         reduce_dominating_set(K3, -1)
 
 
+def test_ds_rejects_c_above_the_vertex_count():
+    assert reduce_dominating_set(K3, 3).threshold == 3
+    with pytest.raises(ValueError, match="c = 4 exceeds the number of vertices 3"):
+        reduce_dominating_set(K3, 4)
+    with pytest.raises(ValueError, match="exceeds the number of vertices"):
+        reduce_dominating_set(K3, 10**20)
+
+
 def test_ds_extract_rejects_overweight():
     art = reduce_dominating_set(PATH3, 0)
     res = solve_exact_andor(art.instance)
@@ -388,6 +397,19 @@ def test_parse_subset_sum():
         parse_subset_sum("2 eight\n2 3 5\n")
     with pytest.raises(ValueError, match="p = 4 exceeds"):
         parse_subset_sum("4 8\n2 3 5\n")
+
+
+@pytest.mark.parametrize("text,line,tok", [
+    ("1 \u0663\n3 1 4\n", 1, "\u0663"),  # an Arabic-Indic digit
+    ("# values below\n1 3\n\n3 1_0 4\n", 4, "1_0"),
+    ("1 3\n3 +4\n", 2, "+4"),
+    ("1 3\n3 -4\n", 2, "-4"),
+    ("1 3\n3 \uff14\n", 2, "\uff14"),  # a fullwidth digit
+    ("1 3\n3 \u00b2\n", 2, "\u00b2"),  # a superscript two
+])
+def test_parse_subset_sum_takes_only_ascii_decimal_tokens(text, line, tok):
+    with pytest.raises(ValueError, match=re.escape(f"line {line}: non-integer token {tok!r}")):
+        parse_subset_sum(text)
 
 
 def test_serialize_mapping_sorted():

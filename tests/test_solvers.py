@@ -537,17 +537,37 @@ def test_budget_zero_still_returns_when_bounds_close_the_gap():
     assert solve_exact_andor(g, budget_s=0).optimum == 2
 
 
-def test_deep_search_runs_out_of_budget_not_of_stack():
-    # an and-source over 1500 or-vertices, each choosing between a shared
-    # and-vertex and its own sink: the search branches 1500 decisions deep
-    m = 1500
+def test_nan_budget_is_rejected_even_when_bounds_close_the_gap():
+    # every deadline comparison with NaN is false: it would switch the budget off
+    closed = aog({"s": OR, "a": OR, "b": OR}, {("s", "a"): 2, ("s", "b"): 3})
+    for g in (closed, _shared_sink_diamond()):
+        with pytest.raises(ValueError, match="got nan"):
+            solve_exact_andor(g, budget_s=float("nan"))
+    with pytest.raises(ValueError, match="got nan"):
+        solve_exact_xy(xyg({"s": (1, 1), "a": (0, 0)}, {("s", "a"): 1}), budget_s=float("nan"))
+
+
+def _hub(m, shared, own, tail=0):
+    """An and-source over m or-vertices, each choosing between a shared
+    and-vertex c (an edge of weight ``shared``, one of weight m // 2 below c)
+    and a vertex of its own (weight ``own``, then a forced edge of weight
+    ``tail`` to a sink when ``tail`` is set)."""
     labels = {"s": AND, "c": AND, "z": OR}
     edges = {("c", "z"): m // 2}
     for i in range(m):
-        o, t = f"o{i:04d}", f"t{i:04d}"
+        o, t, u = f"o{i:04d}", f"t{i:04d}", f"u{i:04d}"
         labels[o] = labels[t] = OR
-        edges.update({("s", o): 1, (o, "c"): 1, (o, t): 2})
-    g = aog(labels, edges)
+        edges.update({("s", o): 1, (o, "c"): shared, (o, t): own})
+        if tail:
+            labels[u] = OR
+            edges[(t, u)] = tail
+    return aog(labels, edges)
+
+
+def test_deep_search_runs_out_of_budget_not_of_stack():
+    # each or-vertex's cheapest edge leads to a vertex with an obligation of
+    # its own, so no choice is free: the search branches 1500 decisions deep
+    g = _hub(1500, shared=3, own=2, tail=2)
     # a recursion limit 60 frames above this one: a search that recursed
     # per decision would overflow it within the first hundred nodes
     old = sys.getrecursionlimit()
@@ -559,6 +579,33 @@ def test_deep_search_runs_out_of_budget_not_of_stack():
     finally:
         sys.setrecursionlimit(old)
     assert time.perf_counter() - start < 1.5
+
+
+def test_free_choices_settle_the_shared_hub():
+    # once one or-vertex includes c, every other takes its weight-1 edge
+    # into c without a frame: 1500 + 1500 + 750
+    res = solve_exact_andor(_hub(1500, shared=1, own=2), budget_s=2)
+    assert res.optimum == 3750
+    assert res.nodes <= 2 * 1500 + 1
+
+
+def test_exact_tie_goes_to_the_free_choice():
+    # a's edges into the shared c and into the sink d both weigh 1; b, g and
+    # h share c, which the sharing-blind witness misses (it weighs 11)
+    labels = {"s": AND, "a": OR, "b": OR, "g": OR, "h": OR, "c": AND,
+              "k": OR, "d": OR, "e": OR, "f": OR, "i": OR}
+    edges = {("s", v): 1 for v in "abgh"}
+    edges.update({("c", "k"): 2, ("a", "c"): 1, ("a", "d"): 1})
+    for v, own in zip("bgh", "efi"):
+        edges.update({(v, "c"): 1, (v, own): 2})
+    g = aog(labels, edges)
+    res = solve_exact_andor(g)
+    assert res.optimum == oracles.brute_min_andor(g)[0] == 10
+    # two optima differ only in a's edge: a takes its cheapest edge into the
+    # sink d as if forced, though a->c comes first in edge-id order
+    assert ("a", "d") in res.witness.edges
+    other = res.witness.edges - {("a", "d")} | {("a", "c")}
+    assert oracles.feasible_andor(g, other) and sum(g.edges[e] for e in other) == 10
 
 
 def test_overflow_reported_on_doubling_dag():
