@@ -266,19 +266,17 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
 
     The search is one loop over a stack of frames, one per decided vertex,
     so its depth is bounded by memory and not by the recursion limit.  A
-    frame holds the vertex's key, an iterator over its options (x-subsets
-    of its out-edge positions), each out-edge's floor and the state to
-    restore before each option: the lengths of four flat trails (committed
-    edge ids, included vertices, keys made pending, keys decided free),
+    frame holds the vertex, an iterator over its options (x-subsets of its
+    out-edge positions), each out-edge's floor and the state to restore
+    before each option: the lengths of four flat trails (committed edge
+    ids, included vertices, vertices made pending, vertices decided free),
     which are undone by slicing them off, and ``lb``.  An edge is committed
     at most once on a path, by its tail, so the edge trail is also the
     witness of a leaf.  An edge's floor is its weight plus, for a head not
     yet included, what including the head adds to ``lb`` at least; an
     option whose floors bring ``lb`` to the bar is counted as the pruned
-    node its closure would have been, without running that closure.  The
-    fail-first scan walks pending vertices by falling ``top``, an upper
-    bound on their estimate, and stops at the first that cannot win.
-    None of these cuts changes the nodes or prunes counted.
+    node its closure would have been, without running that closure, so
+    this cut changes no node or prune count.
 
     With ``cap`` the result only decides whether some solution is lighter
     than ``cap``: the search stops at the first such solution, and the
@@ -317,7 +315,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     # v has in-degree 1 and 0 otherwise
     icost = [0] * n
     down = [0] * n
-    choice = []
+    waiters: list = [None] * n  # (tail, edge id) of the cheap edges into a head
     for v in reversed(idx.order):
         x = xs[v]
         if not x:
@@ -340,32 +338,24 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                 cheap[v] = es
                 minw[v] = c
                 top[v] = min([w + tsch[h] for h, w in adj[v]])
-                choice.append(v)
+                for e in es:
+                    h = ehead[e]
+                    if waiters[h] is None:
+                        waiters[h] = []
+                    waiters[h].append((v, e))
         else:
             c = minw[v] = sum(sorted(ws)[:x])
             top[v] = sum(sorted([w + tsch[h] for h, w in adj[v]])[:x])
-            choice.append(v)
         icost[v] = c
         if indeg[v] == 1:
             down[v] = c
-    # pending holds keys, which rank choice vertices by falling top, then id
-    ranked = sorted(choice, key=lambda v: (-top[v], v))
-    key = [0] * n
-    waiters: list = [None] * n  # (tail key, edge id) of the cheap edges into a head
-    for k, v in enumerate(ranked):
-        key[v] = k
-        for e in cheap[v]:
-            h = ehead[e]
-            if waiters[h] is None:
-                waiters[h] = []
-            waiters[h].append((k, e))
 
     included = bytearray(n)
     pending: set[int] = set()
     etrail: list[int] = []  # committed edge ids
     itrail: list[int] = []  # included vertices
-    ptrail: list[int] = []  # keys made pending
-    ftrail: list[int] = []  # keys decided free while pending
+    ptrail: list[int] = []  # vertices made pending
+    ftrail: list[int] = []  # vertices decided free while pending
     lb = 0  # committed weight plus pending floors
     nodes = prunes = 0
     best: list[int] | None = None  # the edge ids of the lightest solution found
@@ -391,17 +381,16 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                         etrail.append(e)  # decided free
                         break
                 else:
-                    k = key[v]
-                    pending.add(k)
-                    ptrail.append(k)
+                    pending.add(v)
+                    ptrail.append(v)
             else:
                 continue
             wait = waiters[v]
             if wait:
-                for k, e in wait:
-                    if k in pending:  # decided free
-                        pending.discard(k)
-                        ftrail.append(k)
+                for u, e in wait:
+                    if u in pending:  # decided free
+                        pending.discard(u)
+                        ftrail.append(u)
                         etrail.append(e)
             if lb >= bar:
                 del todo[:]  # the rest of the closure only adds weight: the node is pruned
@@ -419,23 +408,20 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                 break  # the decision is settled
         else:
             # fail-first: decide the pending vertex with the costliest cheap
-            # completion, ties to the smaller id; top bounds that estimate,
-            # so the walk by falling top stops at the first that cannot win
+            # completion, ties to the smaller id
             v = -1
             vest = -1
-            for k in sorted(pending):
-                u = ranked[k]
+            for u in pending:
                 if top[u] < vest or (top[u] == vest and u > v):
-                    break
+                    continue  # its estimate cannot beat v's
                 vals = [w + (0 if included[h] else tsch[h]) for h, w in adj[u]]
                 x = xs[u]
                 est = min(vals) if x == 1 else sum(sorted(vals)[:x])
                 if est > vest or (est == vest and u < v):
                     v = u
                     vest = est
-                    vk = k
                     opt_vals = vals
-            pending.discard(vk)
+            pending.discard(v)
             lb -= minw[v]
             x = xs[v]
             # options are x-subsets of positions in adj[v]; each position's
@@ -446,7 +432,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
             else:  # (sum, x-subset of positions) pairs: ties in lexicographic order
                 opts = sorted(zip(map(sum, combinations(opt_vals, x)), combinations(ys, x)))
             floors = [w + (0 if included[h] else icost[h]) for h, w in adj[v]]
-            frames.append((vk, iter(opts), floors, offs[v], len(etrail), len(itrail), len(ptrail),
+            frames.append((v, iter(opts), floors, offs[v], len(etrail), len(itrail), len(ptrail),
                            len(ftrail), lb))
 
         # restore the innermost frame's state and commit its next option; an
@@ -454,7 +440,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
         # its closure would have been; a frame without options is popped and
         # its vertex pending again
         while frames:
-            vk, it, floors, lo, me, mi, mp, mf, lb = frames[-1]
+            v, it, floors, lo, me, mi, mp, mf, lb = frames[-1]
             del etrail[me:]
             for u in itrail[mi:]:
                 included[u] = 0
@@ -476,7 +462,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                     raise BudgetExceededError("exact solve exceeded its time budget")
             else:
                 frames.pop()
-                pending.add(vk)
+                pending.add(v)
                 continue
             for j in js:
                 e = lo + j
