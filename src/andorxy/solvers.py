@@ -12,9 +12,14 @@ completion-time lower bound.  The exact branch-and-bound search over choice
 vertices cannot memoize: the cost of a subgraph depends on which edges the
 rest of the solution already pays for.  It takes a one-edge choice without
 branching when the cheapest edge leads into a sink or into a vertex the
-solution already holds, since no other edge can do better there.  It runs
-on an explicit stack of frames, not by recursion, so no interpreter limit
-caps its depth.
+solution already holds, since no other edge can do better there.  Beside
+the committed weight and the pending vertices' floors it prunes with a
+packing bound: pending vertices whose open heads are pairwise disjoint each
+add their least extra over their floor, an additive bound over disjoint
+edge sets as in LM-cut, and on a vertex-cover gadget the matching bound.
+It runs on an explicit stack of frames, not by recursion, so no
+interpreter limit caps its depth.  Both bounds and the exact search read
+the two recurrences from one computation per graph object.
 """
 
 from __future__ import annotations
@@ -211,6 +216,19 @@ def _schedule(idx: _Indexed) -> list[int]:
     return t
 
 
+def _per_graph(g: AndOrGraph | XYGraph, recurrence, idx: _Indexed):
+    """``recurrence(idx)`` for the index ``idx`` of ``g``, computed once per graph.
+
+    The result is kept in the graph's ``__dict__`` beside the cached index,
+    so the bounds and the exact search share it; callers only read it.
+    """
+    memo = vars(g)
+    key = recurrence.__name__
+    if key not in memo:
+        memo[key] = recurrence(idx)
+    return memo[key]
+
+
 def schedule_lower_bound(g: AndOrGraph) -> ScheduleResult:
     """Earliest-completion times: 0 at sinks, max over out-edges at and-vertices,
     min at or-vertices, working backward through a topological order.
@@ -219,7 +237,7 @@ def schedule_lower_bound(g: AndOrGraph) -> ScheduleResult:
     feasible solution pays for at least one full chain the recurrence counts.
     """
     idx = _index(g, AndOrGraph)
-    t = _schedule(idx)
+    t = _per_graph(g, _schedule, idx)
     names = idx.names
     return ScheduleResult({names[i]: t[i] for i in range(idx.n)})
 
@@ -232,11 +250,12 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
     edges counted once), which upper-bounds the exact optimum.
     """
     idx = _index(g, AndOrGraph)
-    weight, pairs = _sharing_blind(idx)
+    weight, pairs = _per_graph(g, _sharing_blind, idx)
     return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
 
 
-def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) -> SolveResult:
+def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
+               cap: int | None = None) -> SolveResult:
     """Branch-and-bound over choice-vertex decisions, on an explicit stack.
 
     A partial state commits edges forced by fully-determined vertices and
@@ -270,22 +289,47 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     out-edge positions), each out-edge's floor and the state to restore
     before each option: the lengths of four flat trails (committed edge
     ids, included vertices, vertices made pending, vertices decided free),
-    which are undone by slicing them off, and ``lb``.  An edge is committed
-    at most once on a path, by its tail, so the edge trail is also the
-    witness of a leaf.  An edge's floor is its weight plus, for a head not
+    which are undone by slicing them off, ``lb`` and ``psum``.  An edge is
+    committed at most once on a path, by its tail, so the edge trail is
+    also the witness of a leaf.  An edge's floor is its weight plus, for a head not
     yet included, what including the head adds to ``lb`` at least; an
     option whose floors bring ``lb`` to the bar is counted as the pruned
     node its closure would have been, without running that closure, so
     this cut changes no node or prune count.
 
+    After the closure, and before the fail-first pick, a node is also pruned
+    by the packing bound.  ``icost[h]`` counts only out-edges of h and of
+    the in-degree-1 vertices that forced vertices below h lead to.  While a
+    head h is not included, none of those vertices is either, since each is
+    entered only through h; so the edge sets of distinct open heads are
+    disjoint, and disjoint from the committed edges and from the pending
+    vertices' own out-edges, which leave included vertices.  A completion
+    takes x out-edges at each pending vertex u and pays, for each open head
+    h it enters, at least ``icost[h]`` below h.  So if the pending vertices
+    are taken in turn, and u is packed when no vertex packed before holds
+    one of its open heads, then ``lb`` plus, over packed u, the least extra
+    ``d(u)`` of u's x options (weight plus ``icost`` of an open head) over
+    its floor never exceeds a completion.  A packed vertex holds its open
+    heads.  The scan costs one pass over the pending set, and is skipped
+    when ``psum`` cannot close the gap to the bar: ``dmax[u]`` is u's extra
+    while none of its heads is included and bounds ``d(u)``, and ``psum``,
+    kept per frame beside ``lb``, sums it over the vertices made pending
+    and not yet decided by a frame (a vertex decided free keeps its share,
+    which only loosens the skip); the scan also stops once the extras left
+    in ``psum`` cannot close the gap.  The bound prunes only subtrees that
+    hold no solution lighter than the bar, so the incumbents, the optimum,
+    the witness and the tie rule above are those of the search without
+    it; only the node and prune counts fall.
+
     With ``cap`` the result only decides whether some solution is lighter
     than ``cap``: the search stops at the first such solution, and the
     result's weight is below ``cap`` exactly when one exists.
     """
+    idx = _index(g, kind)
     if budget_s is not None and isnan(budget_s):
         raise ValueError("budget must be a number of seconds, got nan")
-    tsch = _schedule(idx)
-    ub_w, ub_pairs = _sharing_blind(idx)
+    tsch = _per_graph(g, _schedule, idx)
+    ub_w, ub_pairs = _per_graph(g, _sharing_blind, idx)
     bar = ub_w if cap is None else cap  # only solutions lighter than bar matter
     if not tsch[idx.src] < bar <= ub_w:
         return SolveResult(ub_w, _witness(idx, ub_pairs), nodes=1)
@@ -305,6 +349,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     etail = [v for v, lst in enumerate(adj) for _e in lst]
     minw = [0] * n  # a choice vertex's x cheapest out-edge weights: its pending floor
     top = [0] * n  # a choice vertex's estimate while none of its heads is included
+    dmax = [0] * n  # a choice vertex's packing extra while none of its heads is included
     # a vertex that takes all its out-edges, or a one-edge choice vertex with
     # a cheapest edge into a sink (decided free), commits their ids, weight
     # and heads
@@ -338,6 +383,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                 cheap[v] = es
                 minw[v] = c
                 top[v] = min([w + tsch[h] for h, w in adj[v]])
+                dmax[v] = min([w + icost[h] for h, w in adj[v]]) - c
                 for e in es:
                     h = ehead[e]
                     if waiters[h] is None:
@@ -346,6 +392,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
         else:
             c = minw[v] = sum(sorted(ws)[:x])
             top[v] = sum(sorted([w + tsch[h] for h, w in adj[v]])[:x])
+            dmax[v] = sum(sorted([w + icost[h] for h, w in adj[v]])[:x]) - c
         icost[v] = c
         if indeg[v] == 1:
             down[v] = c
@@ -357,6 +404,8 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
     ptrail: list[int] = []  # vertices made pending
     ftrail: list[int] = []  # vertices decided free while pending
     lb = 0  # committed weight plus pending floors
+    psum = 0  # dmax over the vertices made pending and not decided by a frame
+    mark = [0] * n  # mark[h] == nodes: a vertex packed at this node holds head h
     nodes = prunes = 0
     best: list[int] | None = None  # the edge ids of the lightest solution found
     frames: list[tuple] = []
@@ -383,6 +432,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                 else:
                     pending.add(v)
                     ptrail.append(v)
+                    psum += dmax[v]
             else:
                 continue
             wait = waiters[v]
@@ -399,7 +449,39 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
         nodes += 1
         if deadline is not None and nodes & 63 == 0 and monotonic() > deadline:
             raise BudgetExceededError("exact solve exceeded its time budget")
-        if lb >= bar:
+        gap = bar - lb
+        if 0 < gap <= psum and pending:
+            # the packing bound: a pending vertex none of whose open heads a
+            # vertex packed before it holds adds its least extra over its
+            # floor, and then holds its open heads; stop once the extras left
+            # in psum cannot close the gap
+            rest = psum
+            for u in pending:
+                du = dmax[u]
+                if not du:
+                    continue
+                rest -= du
+                vals = []
+                for h, w in adj[u]:
+                    if included[h]:
+                        vals.append(w)
+                    elif mark[h] == nodes:
+                        break  # a vertex packed before holds this head
+                    else:
+                        vals.append(w + icost[h])
+                else:
+                    x = xs[u]
+                    d = (min(vals) if x == 1 else sum(sorted(vals)[:x])) - minw[u]
+                    if d:
+                        gap -= d
+                        if gap <= 0:
+                            break
+                        for h, _w in adj[u]:
+                            if not included[h]:
+                                mark[h] = nodes
+                if rest < gap:
+                    break
+        if gap <= 0:
             prunes += 1
         elif not pending:
             bar = lb
@@ -423,6 +505,7 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                     opt_vals = vals
             pending.discard(v)
             lb -= minw[v]
+            psum -= dmax[v]
             x = xs[v]
             # options are x-subsets of positions in adj[v]; each position's
             # floor is its edge weight plus what including its head costs
@@ -433,14 +516,14 @@ def _exact_min(idx: _Indexed, budget_s: float | None, cap: int | None = None) ->
                 opts = sorted(zip(map(sum, combinations(opt_vals, x)), combinations(ys, x)))
             floors = [w + (0 if included[h] else icost[h]) for h, w in adj[v]]
             frames.append((v, iter(opts), floors, offs[v], len(etrail), len(itrail), len(ptrail),
-                           len(ftrail), lb))
+                           len(ftrail), lb, psum))
 
         # restore the innermost frame's state and commit its next option; an
         # option whose floor brings lb to the bar counts as the pruned node
         # its closure would have been; a frame without options is popped and
         # its vertex pending again
         while frames:
-            v, it, floors, lo, me, mi, mp, mf, lb = frames[-1]
+            v, it, floors, lo, me, mi, mp, mf, lb, psum = frames[-1]
             del etrail[me:]
             for u in itrail[mi:]:
                 included[u] = 0
@@ -486,12 +569,12 @@ def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResu
     ``budget_s`` caps wall-clock time; exceeding it raises, never returns a
     wrong value.  A NaN budget raises ValueError.
     """
-    return _exact_min(_index(g, AndOrGraph), budget_s)
+    return _exact_min(g, AndOrGraph, budget_s)
 
 
 def solve_exact_xy(g: XYGraph, budget_s: float | None = None) -> SolveResult:
     """Exact minimum for an x-y DAG; branches over x-subsets at choice vertices."""
-    return _exact_min(_index(g, XYGraph), budget_s)
+    return _exact_min(g, XYGraph, budget_s)
 
 
 def decide_min_andor(g: AndOrGraph, k: int) -> bool:
@@ -502,7 +585,7 @@ def decide_min_andor(g: AndOrGraph, k: int) -> bool:
     k + 1 as the weight to beat, pruning every partial solution above k,
     and stopping at the first solution of weight at most k.
     """
-    return _exact_min(_index(g, AndOrGraph), None, cap=k + 1).optimum <= k
+    return _exact_min(g, AndOrGraph, None, cap=k + 1).optimum <= k
 
 
 def _bit_positions(m: int) -> list[int]:

@@ -1,13 +1,16 @@
 """The exact search's trace is pinned.
 
-For every instance of one kind, one digest covers the optima alone and a
-second the optimum, the sorted witness and the node and prune counts of the
-branch-and-bound.  The first pins the answers; the second pins the tie
-rules and the order in which the search visits and prunes its nodes, so a
-change to the node order, the bounds, the incumbent or the tie rules
-changes it even where every answer stays right.  Every witness must be
-feasible at its optimum by the brute-force oracles, and no kind may need
-more nodes in total than the search before free choices did.
+For every instance of one kind, one digest covers the optima alone, a
+second the optima with their sorted witnesses, and a third the optimum, the
+sorted witness and the node and prune counts of the branch-and-bound.  The
+first two pin the answers and the tie rules; the third pins the order in
+which the search visits and prunes its nodes, so a change to the node order,
+the bounds, the incumbent or the tie rules changes it even where every
+answer stays right.  The packing bound takes pending vertices in the
+iteration order of a set of vertex ids, so the node and prune counts are
+those of CPython's set layout.  Every witness must be feasible at its
+optimum by the brute-force oracles, and no kind may need more nodes in
+total than its pinned cap.
 """
 
 import hashlib
@@ -29,7 +32,6 @@ from andorxy import (
     solve_exact_xy,
 )
 from andorxy.generators import GeneratorConfig, gen_andor, gen_xy
-from andorxy.graphs import _index
 from andorxy.solvers import _exact_min
 
 
@@ -39,7 +41,7 @@ def _trace(res):
 
 def _decide(g, k):
     # decide_min_andor answers a bool; the capped search behind it carries the trace
-    res = _exact_min(_index(g, AndOrGraph), None, cap=k + 1)
+    res = _exact_min(g, AndOrGraph, None, cap=k + 1)
     assert decide_min_andor(g, k) == (res.optimum <= k)
     return res
 
@@ -90,19 +92,22 @@ def _clique_gadgets():
                                              for i, q in enumerate(_simple_graphs(13, 40, 8, 14)))]
 
 
-# (kind, optima digest, trace digest, node total before free choices); a
-# digest is the first 16 hex digits of the sha256 of the repr of a list.  280
+# (kind, optima digest, witness digest, trace digest, node cap); a digest is
+# the first 16 hex digits of the sha256 of the repr of a list.  280
 # instances: 80 and/or DAGs solved and decided at opt - 1 and opt, 80 x-y
 # DAGs, and 40 each of the vertex cover, dominating set and clique gadgets.
-# The optima digests and node totals were recorded from the search before
-# free choices, the trace digests from the search with them.
+# The optima and witness digests were recorded from the search before the
+# packing bound, and the trace digests and node caps (the node totals) from
+# the search with it.  Before the packing bound the totals were 164, 262,
+# 2,597, 2,490, 2,232 and 4,651; before free choices 1,869, 578, 2,697,
+# 3,712, 3,450 and 4,651.
 PINNED = [
-    (_andor_solves, "9e1fbafeaab3e6f0", "ac42b2ef8cffa997", 1869),
-    (_andor_decisions, "854bf68dd6708934", "88de5535a87d5c2d", 578),
-    (_xy_solves, "8fc7399e234dc39d", "488aa0266c837713", 2697),
-    (_vc_gadgets, "5f1c777b868cee89", "e52698d4d2726995", 3712),
-    (_ds_gadgets, "5c445a1bfb60bfd9", "73fb320432beac33", 3450),
-    (_clique_gadgets, "063b452831144db8", "e4c65e42a49372b6", 4651),
+    (_andor_solves, "9e1fbafeaab3e6f0", "9a7af8d8da5c186a", "2f04fa5c338efc97", 144),
+    (_andor_decisions, "854bf68dd6708934", "de9c64bf31a6820b", "000cc9b423da241b", 189),
+    (_xy_solves, "8fc7399e234dc39d", "df8956028952ea45", "e2c78613b46d6e67", 1693),
+    (_vc_gadgets, "5f1c777b868cee89", "fdbe28a416d5fa37", "b8fc2a2ccc828972", 780),
+    (_ds_gadgets, "5c445a1bfb60bfd9", "d4af89b73534a467", "7975a59ebf095114", 594),
+    (_clique_gadgets, "063b452831144db8", "23ec2039ec1a81d4", "cf85a69f129b679e", 3969),
 ]
 IDS = [row[0].__name__.strip("_") for row in PINNED]
 
@@ -116,10 +121,11 @@ def _runs(kind):
     return kind()
 
 
-@pytest.mark.parametrize("kind,optima,trace,_nodes", PINNED, ids=IDS)
-def test_search_trace_is_pinned(kind, optima, trace, _nodes):
+@pytest.mark.parametrize("kind,optima,witnesses,trace,_nodes", PINNED, ids=IDS)
+def test_search_trace_is_pinned(kind, optima, witnesses, trace, _nodes):
     runs = _runs(kind)
     assert _digest([res.optimum for _g, res in runs]) == optima
+    assert _digest([_trace(res)[:2] for _g, res in runs]) == witnesses
     assert _digest([_trace(res) for _g, res in runs]) == trace
 
 
@@ -131,6 +137,7 @@ def test_search_witnesses_are_feasible_at_their_optimum(kind):
         assert sum(g.edges[e] for e in res.witness.edges) == res.optimum
 
 
-@pytest.mark.parametrize("kind,nodes", [(row[0], row[3]) for row in PINNED], ids=IDS)
+# the name is older than the caps, which are now the totals with the packing bound
+@pytest.mark.parametrize("kind,nodes", [(row[0], row[4]) for row in PINNED], ids=IDS)
 def test_search_needs_no_more_nodes_than_before_free_choices(kind, nodes):
     assert sum(res.nodes for _g, res in _runs(kind)) <= nodes

@@ -19,6 +19,7 @@ from andorxy import (
     AndOrGraph,
     BudgetExceededError,
     InvalidGraphError,
+    SimpleGraph,
     SolutionSubgraph,
     XYGraph,
     andor_to_xy,
@@ -27,6 +28,8 @@ from andorxy import (
     decide_min_andor,
     dp_upper_bound,
     kernelize,
+    reduce_dominating_set,
+    reduce_vertex_cover,
     schedule_lower_bound,
     solve_andor_tree,
     solve_exact_andor,
@@ -587,6 +590,62 @@ def test_free_choices_settle_the_shared_hub():
     res = solve_exact_andor(_hub(1500, shared=1, own=2), budget_s=2)
     assert res.optimum == 3750
     assert res.nodes <= 2 * 1500 + 1
+
+
+def test_packing_bound_settles_the_obligation_hub():
+    # once one or-vertex includes c, the pending or-vertices' own vertices
+    # are distinct heads, so the packing bound prices every completion and
+    # prunes each sibling at once; without the bound the search ran out of a
+    # 5 s budget from m = 30
+    res = solve_exact_andor(_hub(100, shared=3, own=2, tail=2), budget_s=2)
+    assert res.optimum == 450
+
+
+def _disjoint_edges(m):
+    names = [f"a{i:02d}" for i in range(2 * m)]
+    return SimpleGraph.from_pairs(list(zip(names[::2], names[1::2])), names)
+
+
+def test_packing_bound_proves_disjoint_gadgets_at_the_root():
+    # over 6 disjoint edges the vertex-cover selectors pack as a matching and
+    # the dominating-set choosers as 6 disjoint closed neighborhoods: the
+    # root's bound meets the sharing-blind witness, which the search without
+    # the bound proved optimal only after 127 nodes
+    q = _disjoint_edges(6)
+    for g, optimum in ((reduce_vertex_cover(q, 6).instance, 18),
+                       (reduce_dominating_set(q, 6).instance, 6)):
+        res = solve_exact_andor(g)
+        assert (res.optimum, res.nodes) == (optimum, 1)
+        check_witness_andor(g, res)
+
+
+def test_exact_and_decisions_match_the_oracles_on_a_mixed_corpus():
+    # and/or and x-y DAGs up to 9 vertices, zero weights included; the x-y
+    # ones must hold vertices that take some but not all of several edges
+    rng = Random(1818)
+    checked = partial = 0
+    for trial in range(320):
+        zero = trial % 3 == 0
+        cfg = GeneratorConfig(n=rng.randint(2, 9), seed=18_000 + trial, weight_lo=0 if zero else 1,
+                              weight_hi=rng.choice((2, 5, 9)), density=rng.uniform(0.25, 0.6),
+                              and_fraction=rng.random())
+        xy = trial % 2 == 1
+        g = gen_xy(cfg) if xy else gen_andor(cfg)
+        if len(g.edges) > 13:
+            continue  # keep the 2^m oracle affordable
+        checked += 1
+        kind = XYGraph if xy else AndOrGraph
+        best, _ = (oracles.brute_min_xy if xy else oracles.brute_min_andor)(g)
+        res = solvers._exact_min(g, kind, None)
+        assert res.optimum == best, f"trial {trial}"
+        (check_witness_xy if xy else check_witness_andor)(g, res)
+        for k in (best - 1, best):
+            capped = solvers._exact_min(fresh(g), kind, None, cap=k + 1)
+            assert (capped.optimum <= k) == (best <= k), f"trial {trial}, k {k}"
+            if not xy:
+                assert decide_min_andor(fresh(g), k) == (best <= k)
+        partial += xy and any(1 < x < y for x, y in g.labels.values())
+    assert checked >= 200 and partial >= 20
 
 
 def test_exact_tie_goes_to_the_free_choice():
