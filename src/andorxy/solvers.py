@@ -12,8 +12,11 @@ completion-time lower bound.  The exact branch-and-bound search over choice
 vertices cannot memoize: the cost of a subgraph depends on which edges the
 rest of the solution already pays for.  It takes a one-edge choice without
 branching when the cheapest edge leads into a sink or into a vertex the
-solution already holds, since no other edge can do better there.  Beside
-the committed weight and the pending vertices' floors it prunes with a
+solution already holds, since no other edge can do better there.  A
+vertex that takes x of y edges decides them one edge at a time (the next
+edge it takes, or for x > y/2 the next it leaves out), and each partial
+choice is bounded like a pending vertex before the next.  Beside the
+committed weight and the pending vertices' floors the search prunes with a
 packing bound: pending vertices whose open heads are pairwise disjoint each
 add their least extra over their floor, an additive bound over disjoint
 edge sets as in LM-cut, and on a vertex-cover gadget the matching bound.
@@ -25,7 +28,7 @@ the two recurrences from one computation per graph object.
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import isnan
 from time import monotonic
 from typing import NamedTuple
@@ -254,6 +257,63 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
     return SolveResult(weight, _witness(idx, pairs), nodes=idx.n)
 
 
+def _first_bounds(vals: list[int], d: int) -> list[int]:
+    """``b[k]``, ``vals[k]`` plus the sum of the d smallest of ``vals[k + 1:]``, for k < len(vals) - d.
+
+    ``b[k]`` is the least sum of d + 1 of the values of which ``vals[k]``
+    comes first; one backward pass, keeping the d smallest values seen.
+    """
+    n = len(vals) - d
+    out = vals[:n]
+    heap = [-t for t in vals[n:]]  # the d smallest seen, negated
+    heapq.heapify(heap)
+    s = sum(vals[n:])
+    for k in range(n - 1, -1, -1):
+        t = out[k]
+        out[k] = t + s
+        if t < -heap[0]:
+            s += t + heapq.heapreplace(heap, -t)
+    return out
+
+
+def _skip_bounds(vals: list[int], r: int) -> list[int]:
+    """For c from r down to 0, the least sum of r of ``vals`` that takes
+    ``vals[:c]`` and leaves out ``vals[c]``.
+
+    One backward pass, keeping the e - 1 largest values after c, where e
+    is the number of values left out.
+    """
+    heap = vals[r + 1:]  # the e - 1 largest of vals[c + 1:]
+    heapq.heapify(heap)
+    hsum = ssum = sum(heap)
+    pre = sum(vals[:r])
+    out = []
+    for c in range(r, -1, -1):
+        out.append(pre + ssum - hsum)
+        if c:
+            t = vals[c]
+            ssum += t
+            if heap and t > heap[0]:
+                hsum += t - heapq.heapreplace(heap, t)
+            pre -= vals[c - 1]
+    return out
+
+
+def _steps(fl: list[int], r: int, start: int) -> tuple[range, list[int], int | None]:
+    """The steps of a frame that takes r of the ranked edges from ``start`` on.
+
+    ``fl`` holds those edges' floors.  Returns the steps' positions in the
+    order tried, their bounds, and None when a step takes the edge at its
+    position, or ``start`` when it takes the edges from ``start`` up to its
+    position and leaves that one out, which a frame that takes more than
+    half its edges does.
+    """
+    if 2 * r <= len(fl):
+        bounds = _first_bounds(fl, r - 1) if r > 1 else fl
+        return range(start, start + len(bounds)), bounds, None
+    return range(start + r, start - 1, -1), _skip_bounds(fl, r), start
+
+
 def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
                cap: int | None = None) -> SolveResult:
     """Branch-and-bound over choice-vertex decisions, on an explicit stack.
@@ -276,30 +336,47 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
     the cheap edges that wait on it).  Either way ``lb`` stays as it was.
 
     Tie rule: the sharing-blind witness stands unless the search finds a
-    lighter solution, and of equal-weight solutions the first found is
-    kept.  The search decides fail-first (the pending vertex with the
-    costliest cheap completion, ties to the smaller id) and tries options
-    in ascending estimate, ties in edge-id order.  A free choice takes the
-    first cheapest edge into a sink, else the first cheapest edge into an
-    included vertex, else the edge into the vertex whose inclusion freed it.
+    lighter solution, and of equal-weight solutions the first found is kept.
+    The search decides fail-first (the pending vertex with the costliest
+    cheap completion, ties to the smaller id).  It ranks the decided
+    vertex's out-edges by estimate (weight plus the completion-time bound
+    below a head not yet included), ties to the smaller edge id, and tries
+    its x-subsets in the lexicographic order of the ranking, not in order
+    of their sums; for x = 1 that is ascending estimate, ties in edge-id
+    order.
+    A free choice takes the first cheapest edge into a sink, else the first
+    cheapest edge into an included vertex, else the edge into the vertex
+    whose inclusion freed it; a step includes the heads of its edges in the
+    order of the ranking.
 
-    The search is one loop over a stack of frames, one per decided vertex,
-    so its depth is bounded by memory and not by the recursion limit.  A
-    frame holds the vertex, an iterator over its options (x-subsets of its
-    out-edge positions), each out-edge's floor and the state to restore
-    before each option: the lengths of four flat trails (committed edge
-    ids, included vertices, vertices made pending, vertices decided free),
-    which are undone by slicing them off, ``lb`` and ``psum``.  An edge is
-    committed at most once on a path, by its tail, so the edge trail is
-    also the witness of a leaf.  An edge's floor is its weight plus, for a head not
-    yet included, what including the head adds to ``lb`` at least; an
-    option whose floors bring ``lb`` to the bar is counted as the pruned
-    node its closure would have been, without running that closure, so
-    this cut changes no node or prune count.
+    The search is one loop over a stack of frames, one per step, so its
+    depth is bounded by memory and not by the recursion limit.  A step
+    commits edges of the decided vertex v.  The first frame of v holds all
+    its ranked edges and its demand x, and a step that leaves v a demand
+    r > 0 is followed by a frame with demand r over the edges ranked after
+    the step's position.  A frame that takes at most half of its edges
+    steps over the edge it takes next; one that takes more steps over the
+    edge it leaves out next and takes the edges ranked before it, so that a
+    vertex with x close to y needs no chain of x steps.  Both try the
+    r-subsets in the lexicographic order of the ranking.  A step after which
+    only r edges are left takes them all.  A frame holds v, its demand, an
+    iterator over its steps, each with its bound, the ranked edge ids and
+    their positions ranked by weight, and the state to restore before each
+    step: the lengths of four flat trails (committed edge ids, included
+    vertices, vertices made pending, vertices decided free), which are
+    undone by slicing them off, ``lb`` and ``psum``.  An edge is committed
+    at most once on a path, by its tail, so the edge trail is also the
+    witness of a leaf.  While v still takes r edges ``lb`` holds their
+    floor, the r smallest weights of the edges left to it.  An edge's floor
+    is its weight plus, for a head not yet included, what including the
+    head adds to ``lb`` at least, and a step's bound is the least floor of
+    the subsets it leads to.  A step whose bound brings ``lb`` to the bar
+    is counted as the pruned node its closure would have been, without
+    running that closure, so this cut changes no node or prune count.
 
-    After the closure, and before the fail-first pick, a node is also pruned
-    by the packing bound.  ``icost[h]`` counts only out-edges of h and of
-    the in-degree-1 vertices that forced vertices below h lead to.  While a
+    After the closure, and before the next frame, a node is also pruned by
+    the packing bound.  ``icost[h]`` counts only out-edges of h and of the
+    in-degree-1 vertices that forced vertices below h lead to.  While a
     head h is not included, none of those vertices is either, since each is
     entered only through h; so the edge sets of distinct open heads are
     disjoint, and disjoint from the committed edges and from the pending
@@ -310,16 +387,18 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
     one of its open heads, then ``lb`` plus, over packed u, the least extra
     ``d(u)`` of u's x options (weight plus ``icost`` of an open head) over
     its floor never exceeds a completion.  A packed vertex holds its open
-    heads.  The scan costs one pass over the pending set, and is skipped
-    when ``psum`` cannot close the gap to the bar: ``dmax[u]`` is u's extra
-    while none of its heads is included and bounds ``d(u)``, and ``psum``,
-    kept per frame beside ``lb``, sums it over the vertices made pending
-    and not yet decided by a frame (a vertex decided free keeps its share,
-    which only loosens the skip); the scan also stops once the extras left
-    in ``psum`` cannot close the gap.  The bound prunes only subtrees that
-    hold no solution lighter than the bar, so the incumbents, the optimum,
-    the witness and the tie rule above are those of the search without
-    it; only the node and prune counts fall.
+    heads.  A vertex that still takes r edges after its last step is one
+    more such vertex with demand r over the edges ranked after that step's,
+    and is packed first.  The scan costs one pass over the pending set, and
+    is skipped when ``psum`` cannot close the gap to the bar: ``dmax[u]`` is
+    u's extra while none of its heads is included and bounds ``d(u)``, and
+    ``psum``, kept per frame beside ``lb``, sums it over the vertices made
+    pending and not yet decided by a frame (a vertex decided free keeps its
+    share, which only loosens the skip); the scan also stops once the
+    extras left in ``psum`` cannot close the gap.  The bound prunes only
+    subtrees that hold no solution lighter than the bar, so the incumbents,
+    the optimum, the witness and the tie rule above are those of the search
+    without it; only the node and prune counts fall.
 
     With ``cap`` the result only decides whether some solution is lighter
     than ``cap``: the search stops at the first such solution, and the
@@ -409,6 +488,7 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
     nodes = prunes = 0
     best: list[int] | None = None  # the edge ids of the lightest solution found
     frames: list[tuple] = []
+    pr = 0  # edges the vertex pv of the last step still takes from es[nxt] on; pfloor of lb is theirs
     todo = [idx.src]  # heads of newly committed edges, to include with their forced closure
     while True:
         while todo:
@@ -450,11 +530,23 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
         if deadline is not None and nodes & 63 == 0 and monotonic() > deadline:
             raise BudgetExceededError("exact solve exceeded its time budget")
         gap = bar - lb
+        if pr and gap > 0:
+            # the vertex of the last step still takes pr of its edges ranked
+            # from es[nxt] on: their floor is in lb, and their least extra,
+            # the pr smallest current floors over it, packs first
+            fl = [ew[e] + (0 if included[ehead[e]] else icost[ehead[e]]) for e in es[nxt:]]
+            ks, bs, sk = _steps(fl, pr, nxt)
+            d = min(bs) - pfloor
+            gap -= d
         if 0 < gap <= psum and pending:
             # the packing bound: a pending vertex none of whose open heads a
             # vertex packed before it holds adds its least extra over its
             # floor, and then holds its open heads; stop once the extras left
             # in psum cannot close the gap
+            if pr and d:
+                for e in es[nxt:]:
+                    if not included[ehead[e]]:
+                        mark[ehead[e]] = nodes
             rest = psum
             for u in pending:
                 du = dmax[u]
@@ -483,6 +575,10 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
                     break
         if gap <= 0:
             prunes += 1
+        elif pr:
+            # the vertex of the last step goes on from es[nxt]
+            frames.append((pv, pr, zip(ks, bs), sk, es, wr, len(etrail), len(itrail),
+                           len(ptrail), len(ftrail), lb - pfloor, psum))
         elif not pending:
             bar = lb
             best = etrail[:]
@@ -507,23 +603,30 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
             lb -= minw[v]
             psum -= dmax[v]
             x = xs[v]
-            # options are x-subsets of positions in adj[v]; each position's
-            # floor is its edge weight plus what including its head costs
-            ys = range(len(opt_vals))
-            if x == 1:  # (value, (position,)) pairs
-                opts: list = sorted(zip(opt_vals, zip(ys)))
-            else:  # (sum, x-subset of positions) pairs: ties in lexicographic order
-                opts = sorted(zip(map(sum, combinations(opt_vals, x)), combinations(ys, x)))
-            floors = [w + (0 if included[h] else icost[h]) for h, w in adj[v]]
-            frames.append((v, iter(opts), floors, offs[v], len(etrail), len(itrail), len(ptrail),
-                           len(ftrail), lb, psum))
+            # v's out-edge ids ranked by estimate, ties to the smaller id,
+            # and their floors; wr holds their positions ranked by weight
+            lo = offs[v]
+            lst = adj[v]
+            ranked = sorted(range(len(lst)), key=opt_vals.__getitem__)
+            es = [lo + j for j in ranked]
+            fl = [w + (0 if included[h] else icost[h]) for h, w in [lst[j] for j in ranked]]
+            if x == 1:
+                steps = enumerate(fl)
+                sk = wr = None
+            else:
+                ks, bs, sk = _steps(fl, x, 0)
+                steps = zip(ks, bs)
+                wr = sorted(range(len(es)), key=[ew[e] for e in es].__getitem__)
+            frames.append((v, x, steps, sk, es, wr, len(etrail), len(itrail),
+                           len(ptrail), len(ftrail), lb, psum))
 
-        # restore the innermost frame's state and commit its next option; an
-        # option whose floor brings lb to the bar counts as the pruned node
-        # its closure would have been; a frame without options is popped and
-        # its vertex pending again
+        # restore the innermost frame's state and take its next step; a step
+        # whose bound brings lb to the bar counts as the pruned node its
+        # closure would have been; a frame without steps left is popped, and
+        # if it was its vertex's first, the vertex is pending again (a later
+        # frame of v with demand x has left out edges, so it starts past 0)
         while frames:
-            v, it, floors, lo, me, mi, mp, mf, lb, psum = frames[-1]
+            v, r, it, s0, es, wr, me, mi, mp, mf, lb, psum = frames[-1]
             del etrail[me:]
             for u in itrail[mi:]:
                 included[u] = 0
@@ -533,11 +636,8 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
                 del ftrail[mf:]
             pending.difference_update(ptrail[mp:])
             del ptrail[mp:]
-            for _val, js in it:
-                floor = lb
-                for j in js:
-                    floor += floors[j]
-                if floor < bar:
+            for k, b in it:
+                if lb + b < bar:
                     break
                 nodes += 1
                 prunes += 1
@@ -545,13 +645,43 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
                     raise BudgetExceededError("exact solve exceeded its time budget")
             else:
                 frames.pop()
-                pending.add(v)
+                if r == xs[v] and not s0:
+                    pending.add(v)
                 continue
-            for j in js:
-                e = lo + j
+            if r == 1:  # take es[k], and v is decided
+                e = es[k]
                 etrail.append(e)
                 lb += ew[e]
                 todo.append(ehead[e])
+                pr = 0
+                break
+            nxt = k + 1
+            if s0 is None:  # take es[k]
+                pr = r - 1
+                run = es[k:nxt]
+            else:  # take es[s0:k] and leave es[k] out
+                pr = r - k + s0
+                run = es[s0:k]
+            if pr and nxt + pr == len(es):  # only pr edges are left: v takes them too
+                run += es[nxt:]
+                pr = 0
+            for e in reversed(run):  # last first, so that heads are included in rank order
+                etrail.append(e)
+                lb += ew[e]
+                todo.append(ehead[e])
+            if pr:
+                # v still takes pr edges ranked from es[nxt] on: its floor
+                # there is the pr smallest of their weights
+                pv = v
+                pfloor = 0
+                c = pr
+                for i in wr:
+                    if i >= nxt:
+                        pfloor += ew[es[i]]
+                        c -= 1
+                        if not c:
+                            break
+                lb += pfloor
             break
         else:
             break
@@ -573,7 +703,12 @@ def solve_exact_andor(g: AndOrGraph, budget_s: float | None = None) -> SolveResu
 
 
 def solve_exact_xy(g: XYGraph, budget_s: float | None = None) -> SolveResult:
-    """Exact minimum for an x-y DAG; branches over x-subsets at choice vertices."""
+    """Exact minimum for an x-y DAG.
+
+    A choice vertex decides its x edges one edge at a time, and each
+    partial choice is bounded before the next, so no x-subsets are listed.
+    ``budget_s`` as for ``solve_exact_andor``.
+    """
     return _exact_min(g, XYGraph, budget_s)
 
 

@@ -8,6 +8,8 @@ an NP-hard problem.  Everything else hangs off that anchor.
 import inspect
 import sys
 import time
+import tracemalloc
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -28,6 +30,7 @@ from andorxy import (
     decide_min_andor,
     dp_upper_bound,
     kernelize,
+    reduce_clique,
     reduce_dominating_set,
     reduce_vertex_cover,
     schedule_lower_bound,
@@ -617,6 +620,110 @@ def test_packing_bound_proves_disjoint_gadgets_at_the_root():
         res = solve_exact_andor(g)
         assert (res.optimum, res.nodes) == (optimum, 1)
         check_witness_andor(g, res)
+
+
+def test_clique_gadget_takes_its_candidates_one_at_a_time():
+    # K5,5 has no 4-clique; the source chooses 4 of 10 candidates, and each
+    # candidate taken is bounded before the next is chosen, where a search
+    # over whole 4-subsets needed 251 nodes
+    a, b = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+    g = reduce_clique(SimpleGraph.from_pairs([(u, v) for u in a for v in b], a + b), 4).instance
+    res = solve_exact_xy(g)
+    assert res.optimum == 30
+    assert res.nodes <= 115
+    check_witness_xy(g, res)
+
+
+def _wide_choice(x, y, shared):
+    # the source takes x of y or-vertices, each with two edges into shared
+    # (1, 1)-vertices above weight-5 sinks: C(y, x) ways to choose the first
+    c = [f"c{j}" for j in range(shared)]
+    labels = {"s": (x, y)}
+    edges = {}
+    for j, v in enumerate(c):
+        labels[v], labels[f"t{j}"] = (1, 1), (0, 0)
+        edges[(v, f"t{j}")] = 5
+    for i in range(y):
+        o = f"o{i:02d}"
+        labels[o] = (1, 2)
+        edges.update({("s", o): 1, (o, c[i % shared]): 1, (o, c[(i + 3) % shared]): 1 + i % 2})
+    return xyg(labels, edges)
+
+
+def test_budget_holds_on_a_wide_x_of_y_choice():
+    # C(24, 12) is 2.7 M subsets: a search that listed them before its first
+    # deadline check overran a 0.5 s budget by seconds and peaked near 600 MiB
+    g = _wide_choice(12, 24, 7)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        solve_exact_xy(g, budget_s=0.5)
+    assert time.perf_counter() - start < 1.5
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            solve_exact_xy(fresh(g), budget_s=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_steps_try_every_subset_once_in_lexicographic_order():
+    # a frame's steps split the r-subsets of its edges into runs, each step's
+    # bound is the least floor in its run, and the runs come in
+    # lexicographic order, whether a step takes an edge or leaves one out
+    rng = Random(2021)
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        r = rng.randint(1, n - 1)
+        start = rng.randint(0, 3)
+        fl = [rng.randint(0, 9) for _ in range(n)]
+        positions, bounds, skip_from = solvers._steps(fl, r, start)
+        subsets = list(combinations(range(n), r))
+        seen = []
+        for pos, bound in zip(positions, bounds, strict=True):
+            k = pos - start
+            if skip_from is None:  # the subsets whose first edge is k
+                run = [c for c in subsets if c[0] == k]
+            else:  # the subsets whose first edge left out is k
+                assert skip_from == start
+                run = [c for c in subsets if c[:k] == tuple(range(k)) and k not in c]
+            assert bound == min(sum(fl[i] for i in c) for c in run)
+            seen += run
+        assert seen == subsets
+        assert (skip_from is None) == (2 * r <= n)
+
+
+def test_exact_xy_with_partial_choices_matches_the_oracles():
+    # x-y DAGs up to 9 vertices whose choice vertices with 3 to 6 out-edges
+    # take 1 < x < y of them, a third with zero weights: the optimum, the
+    # witness and the capped decisions at opt - 1 and opt
+    rng = Random(2020)
+    checked = searched = 0
+    for trial in range(500):
+        zero = trial % 3 == 0
+        cfg = GeneratorConfig(n=rng.randint(4, 9), seed=20_000 + trial, weight_lo=0 if zero else 1,
+                              weight_hi=rng.choice((3, 6, 9)), density=rng.uniform(0.3, 0.7))
+        g = gen_xy(cfg)
+        labels = dict(g.labels)
+        for v, (_x, y) in labels.items():
+            if 2 < y <= 6:
+                labels[v] = (rng.randint(2, y - 1), y)
+        if len(g.edges) > 13 or labels == g.labels:
+            continue  # keep the 2^m oracle affordable, and hold a partial choice
+        checked += 1
+        g = xyg(labels, g.edges, g.source, zero)
+        best, _ = oracles.brute_min_xy(g)
+        res = solve_exact_xy(g)
+        assert res.optimum == best, f"trial {trial}"
+        check_witness_xy(g, res)
+        searched += res.nodes > 1
+        for k in (best - 1, best):
+            capped = solvers._exact_min(fresh(g), XYGraph, None, cap=k + 1)
+            assert (capped.optimum <= k) == (best <= k), f"trial {trial}, k {k}"
+            if capped.optimum <= k:
+                check_witness_xy(g, capped)
+    assert checked >= 150 and searched >= 50
 
 
 def test_exact_and_decisions_match_the_oracles_on_a_mixed_corpus():
