@@ -258,9 +258,9 @@ def dp_upper_bound(g: AndOrGraph) -> SolveResult:
 
 
 def _first_bounds(vals: list[int], d: int) -> list[int]:
-    """``b[k]``, ``vals[k]`` plus the sum of the d smallest of ``vals[k + 1:]``, for k < len(vals) - d.
+    """For k < len(vals) - d, ``vals[k]`` plus the d smallest of ``vals[k + 1:]``.
 
-    ``b[k]`` is the least sum of d + 1 of the values of which ``vals[k]``
+    That is the least sum of d + 1 of the values of which ``vals[k]``
     comes first; one backward pass, keeping the d smallest values seen.
     """
     n = len(vals) - d
@@ -488,7 +488,9 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
     nodes = prunes = 0
     best: list[int] | None = None  # the edge ids of the lightest solution found
     frames: list[tuple] = []
-    pr = 0  # edges the vertex pv of the last step still takes from es[nxt] on; pfloor of lb is theirs
+    # the vertex pv of the last step still takes pr edges from es[nxt] on;
+    # pfloor of lb is their floor
+    pr = 0
     todo = [idx.src]  # heads of newly committed edges, to include with their forced closure
     while True:
         while todo:
@@ -610,14 +612,9 @@ def _exact_min(g: AndOrGraph | XYGraph, kind: type, budget_s: float | None,
             ranked = sorted(range(len(lst)), key=opt_vals.__getitem__)
             es = [lo + j for j in ranked]
             fl = [w + (0 if included[h] else icost[h]) for h, w in [lst[j] for j in ranked]]
-            if x == 1:
-                steps = enumerate(fl)
-                sk = wr = None
-            else:
-                ks, bs, sk = _steps(fl, x, 0)
-                steps = zip(ks, bs)
-                wr = sorted(range(len(es)), key=[ew[e] for e in es].__getitem__)
-            frames.append((v, x, steps, sk, es, wr, len(etrail), len(itrail),
+            ks, bs, sk = _steps(fl, x, 0)
+            wr = sorted(range(len(es)), key=[ew[e] for e in es].__getitem__) if x > 1 else None
+            frames.append((v, x, zip(ks, bs), sk, es, wr, len(etrail), len(itrail),
                            len(ptrail), len(ftrail), lb, psum))
 
         # restore the innermost frame's state and take its next step; a step
