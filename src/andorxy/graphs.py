@@ -11,13 +11,16 @@ source plus every endpoint of a chosen edge.  Every vertex of a feasible
 solution must be reachable from the source inside the solution itself.
 
 Validating a graph builds the integer index (``_Indexed``) that every
-solver and predicate reads, and caches it on the graph, or None for an
-invalid graph.  So the dicts of a graph must not be mutated after
-construction: the cached verdict, like the cached adjacency, would go stale.
+solver, predicate, witness check and the kernelizer read, and caches it on
+the graph, or None for an invalid graph.  So the dicts of a graph must not
+be mutated after construction: the cached verdict, like the cached
+adjacency, would go stale.  A witness check needs a valid host graph of its
+kind, as a solver does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import repeat
@@ -34,8 +37,8 @@ OR = "or"
 MAX_WEIGHT = 2**31 - 1
 MAX_SUM = 2**63 - 1
 
-# instance attribute under which the tree solvers cache a graph's integer
-# index (``treecore.TreeCore``), the way ``out_adj`` caches adjacency
+# instance attribute under which the tree solvers cache a graph's numpy
+# index (``treecore.TreeCore``), the way ``index`` caches the scalar one
 TREE_CORE = "tree_core"
 
 
@@ -546,50 +549,41 @@ def fgraph_to_andor(h: FGraph, root: VertexId) -> AndOrGraph:
 def verify_solution_andor(g: AndOrGraph, h: SolutionSubgraph) -> VerifyResult:
     """Check feasibility of an edge set against an and/or graph.
 
-    Returns the weight and a list of violated rules.  Raises ValueError if
-    the solution references an edge the host graph does not have.
+    Returns the weight and the violated rules: each solution vertex must
+    take its demand of out-edges and be reachable from the source inside
+    ``h``.  Raises InvalidGraphError when ``g`` is not a valid and/or
+    graph, and ValueError when ``h`` holds an element that is not an edge
+    of ``g``.
     """
-    weight = _fast_accept(g, h, xy=False)
-    if weight is not None:
-        return VerifyResult(True, weight)
-    _check_edges_known(g.edges, h)
-    vs = h.vertices(g.source)
-    chosen_out = Counter(map(itemgetter(0), h.edges))
-    labels = g.labels
-    outdeg = Counter(map(itemgetter(0), g.edges))
-
-    violations: list[str] = []
-    for v in sorted(vs):
-        d = outdeg[v] if v in labels else 0  # an undeclared tail has no obligation
-        if d == 0:
-            continue  # sinks carry no obligation
-        got = chosen_out[v]
-        if labels[v] == AND:
-            if got != d:
-                violations.append(f"and vertex {v} must take all {d} out-edges, has {got}")
-        else:
-            if got != 1:
-                violations.append(f"or vertex {v} must take exactly one out-edge, has {got}")
-    violations.extend(_unreached(g.source, vs, h))
-    weight = sum(g.edges[e] for e in h.edges)
-    return VerifyResult(not violations, weight, tuple(violations))
+    return _verify(g, h, AndOrGraph)
 
 
 def verify_solution_xy(g: XYGraph, h: SolutionSubgraph) -> VerifyResult:
-    """Check feasibility of an edge set against an x-y graph."""
-    weight = _fast_accept(g, h, xy=True)
+    """Check feasibility of an edge set against an x-y graph, as ``verify_solution_andor`` does."""
+    return _verify(g, h, XYGraph)
+
+
+def _verify(g: AndOrGraph | XYGraph, h: SolutionSubgraph, kind: type[_Graph]) -> VerifyResult:
+    """``verify_solution_*`` against a valid ``kind`` graph."""
+    weight = _fast_accept(g, h, xy=kind is XYGraph)
     if weight is not None:
         return VerifyResult(True, weight)
+    idx = _index(g, kind)
     _check_edges_known(g.edges, h)
     vs = h.vertices(g.source)
     chosen_out = Counter(map(itemgetter(0), h.edges))
 
     violations: list[str] = []
     for v in sorted(vs):
-        x = g.labels[v][0]
-        got = chosen_out[v]
-        if got != x:
+        x, got = idx.xs[bisect_left(idx.names, v)], chosen_out[v]
+        if got == x:
+            continue
+        if kind is XYGraph:
             violations.append(f"vertex {v} must take exactly {x} out-edges, has {got}")
+        elif g.labels[v] == AND:  # a one-edge and-vertex demands 1, as an or-vertex does
+            violations.append(f"and vertex {v} must take all {x} out-edges, has {got}")
+        else:
+            violations.append(f"or vertex {v} must take exactly one out-edge, has {got}")
     violations.extend(_unreached(g.source, vs, h))
     weight = sum(g.edges[e] for e in h.edges)
     return VerifyResult(not violations, weight, tuple(violations))
@@ -614,6 +608,8 @@ def _fast_accept(g: AndOrGraph | XYGraph, h: SolutionSubgraph, xy: bool) -> int 
 def _check_edges_known(edges: dict[Edge, int], h: SolutionSubgraph) -> None:
     for e in h.edges:
         if e not in edges:
+            if not _is_pair(e):
+                raise ValueError(f"solution element {e!r} is not a (tail, head) pair")
             raise ValueError(f"solution edge ({e[0]}, {e[1]}) is not an edge of the host graph")
 
 

@@ -5,20 +5,31 @@ useful part depends only on the budget k and the weight-multiplicity
 parameter r.  Each rule runs exactly once, in order, collecting all of its
 matches against the graph as it stood when the rule started.  Edges the
 solution must not use are marked with the forbidden weight k+1 rather than
-deleted, so the kernel stays a valid graph and the decision is unchanged.
+deleted, so the kernel stays a valid graph and the decision is unchanged;
+k+1 must therefore fit the weight cap whenever a rule writes it.
+
+The rules run on the integer index that validating the input built: a
+vertex is kept while its mark is set, and an edge is kept while both its
+ends are kept and its weight is at most k.  The kernel comes back indexed,
+its kept vertices renumbered in id order, so validating it reads that index
+instead of building one from its dicts.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from typing import NamedTuple
 
 from .graphs import (
     MAX_SUM,
+    MAX_WEIGHT,
     AND,
     AndOrGraph,
     InvalidGraphError,
     VertexId,
+    _finish_index,
+    _index,
+    _Indexed,
     require_valid_andor,
 )
 from .solvers import decide_min_andor
@@ -68,21 +79,17 @@ def compute_r(g: AndOrGraph) -> int:
     Floors at 1 so the kernel size bound below stays meaningful when the
     graph has no or-vertices at all.
     """
-    require_valid_andor(g)
-    return _multiplicity(g)
+    return _multiplicity(_index(g, AndOrGraph))
 
 
-def _multiplicity(g: AndOrGraph) -> int:
-    """``compute_r`` of a graph already validated."""
-    r = 1
-    for v, lab in g.labels.items():
-        if lab != AND:
-            counts: dict[int, int] = {}
-            for _h, w in g.out_adj[v]:
-                counts[w] = counts.get(w, 0) + 1
-            if counts:
-                r = max(r, max(counts.values()))
-    return r
+def _multiplicity(idx: _Indexed) -> int:
+    """``compute_r`` of a valid graph's index.
+
+    An or-vertex of two or more out-edges is exactly a vertex that takes
+    one of y > 1; every other vertex has multiplicity at most 1.
+    """
+    return max([max(Counter(w for _h, w in lst).values())
+                for x, lst in zip(idx.xs, idx.adj) if x == 1 < len(lst)], default=1)
 
 
 def kernel_size_bound(k: int, r: int) -> int:
@@ -106,24 +113,6 @@ def kernel_size_bound(k: int, r: int) -> int:
     return total
 
 
-def _shortest_dists(
-    adj: dict[VertexId, list[tuple[VertexId, int]]], source: VertexId
-) -> dict[VertexId, int]:
-    # plain Dijkstra; weights are validated nonnegative before this runs
-    dist = {source: 0}
-    heap = [(0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue  # stale heap entry
-        for h, w in adj.get(v, ()):
-            nd = d + w
-            if nd < dist.get(h, nd + 1):
-                dist[h] = nd
-                heapq.heappush(heap, (nd, h))
-    return dist
-
-
 def kernelize(g: AndOrGraph, k: int, r: int | None = None) -> KernelResult:
     """Apply the six reduction rules once each, in order.
 
@@ -138,104 +127,93 @@ def kernelize(g: AndOrGraph, k: int, r: int | None = None) -> KernelResult:
     or a source stripped of all out-edges), yields the empty outcome: the
     decision is "no" with no graph to solve.
 
-    Requires strictly positive weights; k must be nonnegative.
+    Requires strictly positive weights; k must be nonnegative.  Raises
+    OverflowError when rule 5 or 6 fires and k+1 exceeds ``MAX_WEIGHT``.
     """
     require_valid_andor(g)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if any(w < 1 for w in g.edges.values()):
         raise InvalidGraphError("kernelization requires positive edge weights")
+    idx = _index(g, AndOrGraph)
     if r is None:
-        r = _multiplicity(g)
+        r = _multiplicity(idx)
     forbidden = k + 1
-
-    labels = dict(g.labels)
-    edges = dict(g.edges)
+    names, adj, src, xs, n = idx.names, idx.adj, idx.src, idx.xs, idx.n
+    # vertex v is kept while keep[v]; indices sort like ids, so every scan
+    # in index order logs in sorted order
+    keep = bytearray(b"\x01") * n
     log: list[RuleApplication] = []
 
-    def drop_vertices(rule: int, doomed: set[VertexId]) -> None:
-        for v in sorted(doomed):
-            log.append(RuleApplication(rule, v))
+    def drop_vertices(rule: int, doomed: list[int]) -> None:
         for v in doomed:
-            del labels[v]
-        for t, h in [e for e in edges if e[0] in doomed or e[1] in doomed]:
-            del edges[(t, h)]
+            keep[v] = 0
+            log.append(RuleApplication(rule, names[v]))
 
     def empty_outcome() -> KernelResult:
         return KernelResult(None, k, r, tuple(log), forbidden)
 
     # rule 1: and-vertices forced to pay more than the whole budget
-    out_sum: dict[VertexId, int] = {v: 0 for v in labels}
-    for (t, _h), w in edges.items():
-        out_sum[t] += w
-    doomed = {v for v, lab in labels.items() if lab == AND and out_sum[v] > k}
-    drop_vertices(1, doomed)
-    if g.source not in labels:
+    drop_vertices(1, [v for v in range(n)
+                      if sum(w for _h, w in adj[v]) > k and g.labels[names[v]] == AND])
+    if not keep[src]:
         return empty_outcome()
 
-    # rule 2: single edges heavier than the budget
-    heavy = sorted(e for e, w in edges.items() if w > k)
-    for e in heavy:
-        log.append(RuleApplication(2, e))
-        del edges[e]
+    # rule 2: single edges heavier than the budget.  From here on an edge is
+    # kept exactly when both its ends are kept and its weight is at most k.
+    log += [RuleApplication(2, (names[t], names[h]))
+            for t in range(n) if keep[t] for h, w in adj[t] if w > k and keep[h]]
 
-    # rule 3: vertices whose cheapest path from the source busts the budget
-    adj: dict[VertexId, list[tuple[VertexId, int]]] = {v: [] for v in labels}
-    for (t, h), w in edges.items():
-        adj[t].append((h, w))
-    dist = _shortest_dists(adj, g.source)
-    doomed = {v for v, d in dist.items() if d > k}
-    drop_vertices(3, doomed)
+    # rules 3 and 4: cheapest path costs from the source, in topological
+    # order; -1 marks a vertex no kept edge reaches.  Every vertex on a
+    # cheapest path costs at most what its end costs, so rule 3 leaves each
+    # vertex within k reachable, and rule 4 drops exactly the unreached ones.
+    dist = [-1] * n
+    dist[src] = 0
+    for v in idx.order:
+        d = dist[v]
+        if d >= 0:
+            for h, w in adj[v]:
+                if keep[h] and w <= k and (dist[h] < 0 or d + w < dist[h]):
+                    dist[h] = d + w
+    drop_vertices(3, [v for v in range(n) if keep[v] and dist[v] > k])
+    drop_vertices(4, [v for v in range(n) if keep[v] and dist[v] < 0])
 
-    # rule 4: vertices no longer reachable at all
-    seen = {g.source}
-    stack = [g.source]
-    heads: dict[VertexId, list[VertexId]] = {v: [] for v in labels}
-    for t, h in edges:
-        heads[t].append(h)
-    while stack:
-        for h in heads[stack.pop()]:
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    drop_vertices(4, set(labels) - seen)
-
+    out = [[(h, w) for h, w in adj[v] if keep[h] and w <= k] if keep[v] else [] for v in range(n)]
     # a surviving source may still be unsatisfiable: an and-source that lost
     # any original out-edge, or a source with no options left, dooms every
     # solution of the original instance (discussion: rules 5 and 6 poison
     # in-edges, and the source has none to poison)
-    src_now = {h for (t, h) in edges if t == g.source}
-    src_orig = {h for (t, h) in g.edges if t == g.source}
-    if src_orig:
-        if g.labels[g.source] == AND and src_now != src_orig:
-            return empty_outcome()
-        if not src_now:
-            return empty_outcome()
+    if len(out[src]) < xs[src]:
+        return empty_outcome()
 
-    # rule 5: in-edges of vertices that became sinks
-    cur_heads: dict[VertexId, set[VertexId]] = {v: set() for v in labels}
-    for t, h in edges:
-        cur_heads[t].add(h)
-    new_sinks = {
-        v for v in labels if not cur_heads[v] and g.out_adj[v]
-    }
-    for t, h in sorted(e for e in edges if e[1] in new_sinks):
-        if edges[(t, h)] != forbidden:
-            log.append(RuleApplication(5, (t, h)))
-            edges[(t, h)] = forbidden
+    # rule 5: in-edges of vertices that became sinks; rule 6: in-edges of
+    # and-vertices missing part of their original fan-out.  A kept vertex
+    # short of its demand is one or the other, and the mark names the rule.
+    for v in range(n):
+        if keep[v] and len(out[v]) < xs[v]:
+            keep[v] = 6 if out[v] else 5
+    poisoned = sorted((keep[h], t, h) for t in range(n) for h, _w in out[t] if keep[h] > 1)
+    if poisoned and forbidden > MAX_WEIGHT:
+        raise OverflowError(f"the forbidden weight {forbidden} exceeds the weight cap {MAX_WEIGHT}")
+    log += [RuleApplication(rule, (names[t], names[h])) for rule, t, h in poisoned]
 
-    # rule 6: in-edges of and-vertices missing part of their original fan-out
-    maimed = {
-        v
-        for v, lab in labels.items()
-        if lab == AND and len(cur_heads[v]) != len(g.out_adj[v])
-    }
-    for t, h in sorted(e for e in edges if e[1] in maimed):
-        if edges[(t, h)] != forbidden:
-            log.append(RuleApplication(6, (t, h)))
-            edges[(t, h)] = forbidden
-
+    # the kernel keeps the input's dict order and arrives indexed
+    mark = dict(zip(names, keep))
+    labels = {v: lab for v, lab in g.labels.items() if mark[v]}
+    edges = {(t, h): forbidden if mark[h] > 1 else w
+             for (t, h), w in g.edges.items() if w <= k and mark[t] and mark[h]}
     reduced = AndOrGraph(labels, edges, g.source, g.zero_weights_allowed)
+    kept = [v for v in range(n) if keep[v]]
+    new = dict(zip(kept, range(len(kept))))
+    kadj = [[(new[h], forbidden if keep[h] > 1 else w) for h, w in out[v]] for v in kept]
+    indeg = [0] * len(kept)
+    for lst in kadj:
+        for h, _w in lst:
+            indeg[h] += 1
+    knames = [names[v] for v in kept]
+    vars(reduced)["index"] = _finish_index(reduced, knames, list(map(labels.__getitem__, knames)),
+                                           kadj, new[src], indeg)
     require_valid_andor(reduced)
     return KernelResult(reduced, k, r, tuple(log), forbidden)
 

@@ -308,6 +308,29 @@ def test_kernelize_rejects_zero_weights_and_xy(run):
     assert code == 2 and "and/or input" in err
 
 
+# rule 1 drops a, so rule 6 would give (s, x) the forbidden weight k + 1
+CAPPED = ("andor\nv a and\nv b or\nv c or\nv d or\nv e or\nv s or\nv x and\n"
+          "e a b 2147483647\ne a c 2147483647\ne s d 1\ne s x 1\ne x a 1\ne x e 1\ns s\n")
+
+
+def test_kernelize_forbidden_weight_above_the_cap_exits_3(run):
+    code, out, err = run("kernelize", "g.txt", "--k", "2147483647", "--decide",
+                         files={"g.txt": CAPPED})
+    assert code == 3 and out == ""
+    assert "forbidden weight 2147483648 exceeds the weight cap 2147483647" in err
+    code, out, err = run("kernelize", "g.txt", "--k", "2147483646", "--decide",
+                         files={"g.txt": CAPPED})
+    assert code == 0 and "e s x 2147483647" in out and out.endswith("YES\n")
+    assert "rule 6: reweight edge s -> x to forbidden" in err
+
+
+def test_kernelize_huge_k_with_nothing_to_poison(run):
+    code, out, err = run("kernelize", "g.txt", "--k", str(10**30), "--decide",
+                         files={"g.txt": TREE})
+    assert code == 0 and out == TREE + "YES\n"
+    assert err == "r 1\n"
+
+
 def test_kernelize_stdout_graph_when_no_output_file(run):
     g = "andor\nv s or\nv a or\ne s a 1\ns s\n"
     code, out, _ = run("kernelize", "g.txt", "--k", "2", files={"g.txt": g})

@@ -38,7 +38,7 @@ from andorxy import (
     verify_solution_andor,
     verify_solution_xy,
 )
-from andorxy import graphs, solvers, textio
+from andorxy import graphs, kernel, solvers, textio
 from andorxy.generators import GeneratorConfig, gen_andor, gen_andor_tree, gen_xy, gen_xy_tree
 
 
@@ -213,21 +213,23 @@ def test_index_builds_exactly_when_validation_reports_ok(monkeypatch):
 
 
 def test_each_graph_is_indexed_once_and_never_checked_by_name(monkeypatch):
-    # both builders, parse_graph's pass and _build_index, end in _finish_index
-    builds, named = [], []
-    real = graphs._finish_index
+    # every builder ends in _finish_index: parse_graph's pass, the kernel's
+    # renumbering of its input's index and _build_index over a graph's dicts
+    builds, named, from_dicts = [], [], []
+    real, real_from_dicts = graphs._finish_index, graphs._build_index
 
     def counted(g, *rest):
         builds.append(g)
         return real(g, *rest)
 
-    monkeypatch.setattr(graphs, "_finish_index", counted)
-    monkeypatch.setattr(textio, "_finish_index", counted)
+    for module in (graphs, textio, kernel):
+        monkeypatch.setattr(module, "_finish_index", counted)
+    monkeypatch.setattr(graphs, "_build_index", lambda g: from_dicts.append(g) or real_from_dicts(g))
     monkeypatch.setattr(graphs, "_structural_violations", lambda *a: named.append(a) or [])
     cfg = GeneratorConfig(n=14, seed=7, density=0.4)
     andor, xy, tree, xtree = (parse_graph(serialize_graph(make(cfg)))
                               for make in (gen_andor, gen_xy, gen_andor_tree, gen_xy_tree))
-    solve_exact_andor(andor)
+    verify_solution_andor(andor, solve_exact_andor(andor).witness)
     dp_upper_bound(andor)
     schedule_lower_bound(andor)
     is_in_family_F(andor)
@@ -236,12 +238,14 @@ def test_each_graph_is_indexed_once_and_never_checked_by_name(monkeypatch):
     decide_min_andor(andor, 10)
     kr = kernelize(andor, dp_upper_bound(andor).optimum)
     decide_kernel(kr)
-    solve_exact_xy(xy)
+    verify_solution_andor(kr.reduced, solve_exact_andor(kr.reduced).witness)
+    verify_solution_xy(xy, solve_exact_xy(xy).witness)
+    verify_solution_xy(xy, sol(*sorted(xy.edges)[:2]))
     is_xy_tree(xy)
-    solve_andor_tree(tree)
-    solve_xy_tree(xtree)
+    verify_solution_andor(tree, solve_andor_tree(tree).witness)
+    verify_solution_xy(xtree, solve_xy_tree(xtree).witness)
     decide_exact_weight_xy_tree(xtree, 5)
-    assert named == []
+    assert named == [] and from_dicts == []
     assert sorted(map(id, builds)) == sorted(map(id, (andor, xy, tree, xtree, kr.reduced)))
 
 

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from andorxy import (
     AND,
+    MAX_WEIGHT,
     OR,
     AndOrGraph,
     InvalidGraphError,
@@ -222,6 +223,22 @@ def test_kernelize_input_checks():
         kernelize(z, 3)
     with pytest.raises(InvalidGraphError):
         kernelize(aog({"s": OR, "a": OR}, {("s", "a"): 1, ("a", "s"): 1}), 3)
+
+
+def test_forbidden_weight_must_fit_the_cap_only_when_written():
+    # rule 1 drops a; rule 6 then gives (s, x) the forbidden weight k + 1
+    g = aog({"s": OR, "x": AND, "a": AND, "b": OR, "c": OR, "d": OR, "e": OR},
+            {("s", "x"): 1, ("s", "d"): 1, ("x", "a"): 1, ("x", "e"): 1,
+             ("a", "b"): MAX_WEIGHT, ("a", "c"): MAX_WEIGHT})
+    with pytest.raises(OverflowError, match=f"exceeds the weight cap {MAX_WEIGHT}"):
+        kernelize(g, MAX_WEIGHT)
+    kr = kernelize(g, MAX_WEIGHT - 1)
+    assert kr.reduced.edges[("s", "x")] == MAX_WEIGHT == kr.forbidden_weight
+    assert kr.log[-1] == (6, ("s", "x")) and decide_kernel(kr)
+    # with nothing to poison, any k goes
+    quiet = aog({"s": OR, "a": OR}, {("s", "a"): MAX_WEIGHT})
+    kr = kernelize(quiet, 10**30)
+    assert kr.log == () and kr.reduced == quiet and decide_kernel(kr)
 
 
 def test_kernelize_validates_its_input_once(monkeypatch):
